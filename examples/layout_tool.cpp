@@ -9,14 +9,12 @@
 // across an -L range and runs every job on the parallel batch engine, with
 // results printed in submission order (so -j 8 output is byte-identical to
 // -j 1); --deadline/--sweep-deadline bound each job / the whole batch with
-// cooperative cancellation, --retries/--backoff retry transient failures,
-// --cache-capacity/--cache-capacity-bytes hard-bound the topology cache with
-// LRU eviction (--soft-capacity arms the pre-eviction warning tripwire), and
-// --journal/--resume checkpoint finished jobs so a killed sweep restarts
-// where it stopped, byte-identical to an uninterrupted run. And the chaos
-// harness: `soak` drives the persistent engine through repeated sweeps with
-// injected transient faults and a tiny cache, asserting the governance
-// invariants. And the perf gate: `bench-diff` compares a fresh BENCH_mlvl.json
+// cooperative cancellation, --cache-capacity hard-bounds the topology cache
+// with LRU eviction, and --journal/--resume checkpoint finished jobs so a
+// killed sweep restarts where it stopped, byte-identical to an uninterrupted
+// run. And the soak harness: `soak` drives the persistent engine through
+// repeated sweeps with a tiny cache, asserting the governance invariants.
+// And the perf gate: `bench-diff` compares a fresh BENCH_mlvl.json
 // against the committed baseline with noise-aware thresholds and fails the
 // build on regressions; `--metrics-interval` samples the metrics registry
 // periodically into a time-series JSON during long runs.
@@ -739,31 +737,10 @@ int run_sweep(const std::vector<std::string>& args, const CommonOptions& copt,
       if (!parse_u32_flag(args[++i], "--sweep-deadline",
                           opt.sweep_deadline_ms))
         return usage();
-    } else if (args[i] == "--retries" && i + 1 < args.size()) {
-      if (!parse_u32_flag(args[++i], "--retries", opt.max_retries) ||
-          opt.max_retries > 16) {
-        std::cerr << "layout_tool: --retries wants 0..16\n";
-        return usage();
-      }
     } else if (args[i] == "--cache-capacity" && i + 1 < args.size()) {
       std::uint32_t cap = 0;
       if (!parse_u32_flag(args[++i], "--cache-capacity", cap)) return usage();
       opt.cache_capacity = cap;
-    } else if (args[i] == "--cache-capacity-bytes" && i + 1 < args.size()) {
-      std::uint32_t cap = 0;
-      if (!parse_u32_flag(args[++i], "--cache-capacity-bytes", cap))
-        return usage();
-      opt.cache_capacity_bytes = cap;
-    } else if (args[i] == "--soft-capacity" && i + 1 < args.size()) {
-      std::uint32_t cap = 0;
-      if (!parse_u32_flag(args[++i], "--soft-capacity", cap)) return usage();
-      opt.cache_soft_capacity = cap;
-    } else if (args[i] == "--backoff" && i + 1 < args.size()) {
-      if (!parse_u32_flag(args[++i], "--backoff", opt.retry_backoff_ms) ||
-          opt.retry_backoff_ms > 60'000) {
-        std::cerr << "layout_tool: --backoff wants 0..60000 ms\n";
-        return usage();
-      }
     } else if (args[i] == "--journal" && i + 1 < args.size()) {
       journal_path = args[++i];
     } else if (args[i] == "--resume" && i + 1 < args.size()) {
@@ -854,11 +831,7 @@ int run_sweep(const std::vector<std::string>& args, const CommonOptions& copt,
     s.warnings = report.warnings.size();
     s.job_deadline_ms = opt.job_deadline_ms;
     s.sweep_deadline_ms = opt.sweep_deadline_ms;
-    s.max_retries = opt.max_retries;
-    s.retry_backoff_ms = opt.retry_backoff_ms;
     s.cache_capacity = opt.cache_capacity;
-    s.cache_capacity_bytes = opt.cache_capacity_bytes;
-    s.cache_soft_capacity = opt.cache_soft_capacity;
   }
 
   if (copt.loud()) {
@@ -892,7 +865,6 @@ int run_sweep(const std::vector<std::string>& args, const CommonOptions& copt,
     // byte-identical. They appear on the -v timing line instead.
     std::cout << "sweep: " << report.jobs.size() << " job(s), " << totals.ok
               << " ok, " << totals.failed << " failed";
-    if (totals.retried != 0) std::cout << ", " << totals.retried << " retried";
     if (totals.deadline != 0)
       std::cout << ", " << totals.deadline << " deadline";
     if (totals.skipped != 0) std::cout << ", " << totals.skipped << " skipped";
@@ -911,9 +883,7 @@ int run_sweep(const std::vector<std::string>& args, const CommonOptions& copt,
                 << report.cache_misses << " topology build"
                 << (report.cache_misses == 1 ? "" : "s") << ", "
                 << report.cache_evictions << " eviction(s), "
-                << report.resumed << " resumed, " << report.retry_attempts
-                << " transient failure(s), " << report.warnings.size()
-                << " capacity warning(s)";
+                << report.resumed << " resumed";
       if (journal) std::cout << ", journal " << journal->recorded()
                              << " record(s)";
       std::cout << "\n";
@@ -922,36 +892,28 @@ int run_sweep(const std::vector<std::string>& args, const CommonOptions& copt,
   return report.all_ok() ? kExitValid : kExitInvalid;
 }
 
-/// `soak` mode: chaos-soak the persistent batch engine — repeated sweeps on
-/// one engine with injected transient faults, a deliberately tiny bounded
-/// cache, optional aggressive deadlines and a retry budget — then assert the
-/// governance invariants: every job gets a structured verdict, ok results
-/// carry real metrics, the cache never exceeds its hard capacity, and (with
-/// deadlines off) a -j1 re-run of the first iteration on a fresh engine is
-/// byte-identical. Exit 0 = all invariants held (deadline/failed verdicts
+/// `soak` mode: soak the persistent batch engine — repeated sweeps on one
+/// engine with a deliberately tiny bounded cache (so every batch evicts and
+/// rebuilds) and optional aggressive deadlines — then assert the governance
+/// invariants: every job gets a structured verdict, ok results carry real
+/// metrics, the cache never exceeds its hard capacity, and (with deadlines
+/// off) every iteration and a -j1 replay on a fresh unbounded-cache engine
+/// are byte-identical. Exit 0 = all invariants held (deadline/failed verdicts
 /// are expected outcomes, not violations); 1 = an invariant broke.
 int run_soak(const std::vector<std::string>& args, const CommonOptions& copt,
              const CheckOptions& chk) {
-  std::uint32_t iters = 10, seed = 1, jobs_flag = 0, fault_pct = 25;
+  std::uint32_t iters = 10, jobs_flag = 0;
   std::uint32_t cache_cap = 64;
   engine::SweepOptions opt;
   opt.check_threads = chk.threads;
-  opt.max_retries = 2;
-  opt.retry_backoff_ms = 0;  // chaos soaks measure invariants, not patience
   std::vector<std::string> patterns;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "-iters" && i + 1 < args.size()) {
       if (!parse_u32_flag(args[++i], "-iters", iters) || iters == 0)
         return usage();
-    } else if (args[i] == "-seed" && i + 1 < args.size()) {
-      if (!parse_u32_flag(args[++i], "-seed", seed)) return usage();
     } else if (args[i] == "-j" && i + 1 < args.size()) {
       if (!parse_u32_flag(args[++i], "-j", jobs_flag) || jobs_flag == 0 ||
           jobs_flag > 256)
-        return usage();
-    } else if (args[i] == "-fault-rate" && i + 1 < args.size()) {
-      if (!parse_u32_flag(args[++i], "-fault-rate", fault_pct) ||
-          fault_pct > 100)
         return usage();
     } else if (args[i] == "--cache-capacity" && i + 1 < args.size()) {
       if (!parse_u32_flag(args[++i], "--cache-capacity", cache_cap))
@@ -962,10 +924,6 @@ int run_soak(const std::vector<std::string>& args, const CommonOptions& copt,
     } else if (args[i] == "--sweep-deadline" && i + 1 < args.size()) {
       if (!parse_u32_flag(args[++i], "--sweep-deadline",
                           opt.sweep_deadline_ms))
-        return usage();
-    } else if (args[i] == "--retries" && i + 1 < args.size()) {
-      if (!parse_u32_flag(args[++i], "--retries", opt.max_retries) ||
-          opt.max_retries > 16)
         return usage();
     } else if (!args[i].empty() && args[i][0] != '-') {
       patterns.push_back(args[i]);
@@ -988,24 +946,8 @@ int run_soak(const std::vector<std::string>& args, const CommonOptions& copt,
     for (api::FamilySpec& spec : *specs)
       for (std::uint32_t L = 2; L <= 4; ++L) jobs.push_back({spec, {.L = L}});
   }
-
-  auto mix = [](std::uint64_t x) {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-  };
-  // Chaos is deterministic in (seed, iteration, job, attempt): replayable,
-  // and the -j1/-jN fingerprint comparison below stays meaningful.
-  std::uint32_t cur_iter = 0;
   opt.threads = jobs_flag;
   opt.cache_capacity = cache_cap;
-  opt.inject_fault = [&](std::size_t job, std::uint32_t attempt) {
-    const std::uint64_t x =
-        mix(mix(mix(std::uint64_t{seed} * 1000003 + cur_iter) ^ job) ^
-            attempt);
-    return x % 100 < fault_pct;
-  };
 
   auto fingerprint = [](const engine::SweepReport& rep) {
     std::string fp;
@@ -1030,6 +972,10 @@ int run_soak(const std::vector<std::string>& args, const CommonOptions& copt,
     return fp;
   };
 
+  // Deadlines are timing-dependent by nature, so the determinism probes
+  // (iteration-to-iteration and the replay below) only run without them.
+  const bool deterministic =
+      opt.job_deadline_ms == 0 && opt.sweep_deadline_ms == 0;
   engine::BatchLayoutEngine eng(opt);
   engine::SweepTotals grand;
   std::uint64_t violations = 0;
@@ -1039,67 +985,59 @@ int run_soak(const std::vector<std::string>& args, const CommonOptions& copt,
     std::cerr << "soak: iteration " << iter << ": INVARIANT VIOLATED: "
               << what << "\n";
   };
-  for (cur_iter = 0; cur_iter < iters; ++cur_iter) {
+  for (std::uint32_t iter = 0; iter < iters; ++iter) {
     engine::SweepReport rep = eng.run(jobs);
-    if (cur_iter == 0) first_fp = fingerprint(rep);
+    if (iter == 0)
+      first_fp = fingerprint(rep);
+    else if (deterministic && fingerprint(rep) != first_fp)
+      violate(iter, "fingerprint differs from first iteration");
     if (rep.jobs.size() != jobs.size())
-      violate(cur_iter, "result count != job count");
+      violate(iter, "result count != job count");
     for (const engine::JobResult& j : rep.jobs) {
-      const bool ok_verdict = j.verdict == engine::JobVerdict::kOk ||
-                              j.verdict == engine::JobVerdict::kRetried;
-      if (j.ok != ok_verdict)
-        violate(cur_iter, "ok flag disagrees with verdict for " +
-                              api::format_family_spec(j.spec));
+      if (j.ok != (j.verdict == engine::JobVerdict::kOk))
+        violate(iter, "ok flag disagrees with verdict for " +
+                          api::format_family_spec(j.spec));
       if (j.ok && (j.metrics.area == 0 || j.nodes == 0))
-        violate(cur_iter,
+        violate(iter,
                 "ok job with empty metrics: " + api::format_family_spec(j.spec));
-      if (j.verdict == engine::JobVerdict::kRetried && j.attempts < 2)
-        violate(cur_iter, "retried verdict with a single attempt");
-      if (j.verdict == engine::JobVerdict::kDeadline &&
-          opt.job_deadline_ms == 0 && opt.sweep_deadline_ms == 0)
-        violate(cur_iter, "deadline verdict with no deadline armed");
+      if (j.verdict == engine::JobVerdict::kDeadline && deterministic)
+        violate(iter, "deadline verdict with no deadline armed");
     }
     if (cache_cap != 0 && eng.cache_stats().entries > cache_cap)
-      violate(cur_iter, "cache exceeded its hard capacity");
+      violate(iter, "cache exceeded its hard capacity");
     const engine::SweepTotals t = rep.totals();
     grand.ok += t.ok;
     grand.failed += t.failed;
-    grand.retried += t.retried;
     grand.deadline += t.deadline;
     grand.skipped += t.skipped;
   }
 
-  // Determinism probe: iteration 0 replayed on a fresh single-threaded
-  // engine must reproduce the fingerprint bit for bit. Deadlines are
-  // timing-dependent by nature, so the probe only runs without them.
-  bool determinism_checked = false;
-  if (opt.job_deadline_ms == 0 && opt.sweep_deadline_ms == 0) {
-    determinism_checked = true;
-    cur_iter = 0;
+  // Replay probe: iteration 0 on a fresh single-threaded engine with an
+  // unbounded cache must reproduce the fingerprint bit for bit, so neither
+  // worker count nor eviction can leak into results.
+  if (deterministic) {
     engine::SweepOptions replay = opt;
     replay.threads = 1;
+    replay.cache_capacity = 0;
     engine::BatchLayoutEngine fresh(replay);
-    engine::SweepReport rep = fresh.run(jobs);
-    if (fingerprint(rep) != first_fp)
+    if (fingerprint(fresh.run(jobs)) != first_fp)
       violate(0, "-j1 replay fingerprint differs from first iteration");
   }
 
   const engine::CacheStats cs = eng.cache_stats();
   if (copt.loud()) {
     std::cout << "soak: " << iters << " iteration(s) x " << jobs.size()
-              << " job(s), fault rate " << fault_pct << "%, cache capacity "
-              << cache_cap << "\n";
-    std::cout << "verdicts: " << grand.ok << " ok (" << grand.retried
-              << " retried), " << grand.failed << " failed, "
-              << grand.deadline << " deadline, " << grand.skipped
-              << " skipped\n";
+              << " job(s), cache capacity " << cache_cap << "\n";
+    std::cout << "verdicts: " << grand.ok << " ok, " << grand.failed
+              << " failed, " << grand.deadline << " deadline, "
+              << grand.skipped << " skipped\n";
     std::cout << "cache: " << cs.entries << " entr"
               << (cs.entries == 1 ? "y" : "ies") << ", " << cs.hits
               << " hit(s), " << cs.misses << " miss(es), " << cs.evictions
               << " eviction(s)\n";
     std::cout << "determinism: "
-              << (determinism_checked ? "replay verified"
-                                      : "skipped (deadlines armed)")
+              << (deterministic ? "iterations and replay verified"
+                                : "skipped (deadlines armed)")
               << "\n";
     std::cout << "soak: " << (violations == 0 ? "PASS" : "FAIL") << "\n";
   }

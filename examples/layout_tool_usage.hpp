@@ -8,12 +8,9 @@ inline constexpr const char kLayoutToolUsage[] =
     R"usage(usage: layout_tool <network> [args...] [options]
        layout_tool sweep <spec-range>... [-L lo[..hi]] [-j N]
                    [-nocheck] [-nocache] [--deadline ms] [--sweep-deadline ms]
-                   [--retries N] [--backoff ms] [--cache-capacity N]
-                   [--cache-capacity-bytes N] [--soft-capacity N]
-                   [--journal file] [--resume file]
-       layout_tool soak [<spec-range>...] [-iters N] [-seed N] [-j N]
-                   [-fault-rate pct] [--cache-capacity N] [--deadline ms]
-                   [--sweep-deadline ms] [--retries N]
+                   [--cache-capacity N] [--journal file] [--resume file]
+       layout_tool soak [<spec-range>...] [-iters N] [-j N]
+                   [--cache-capacity N] [--deadline ms] [--sweep-deadline ms]
        layout_tool bench-diff <baseline.json> <current.json>
                    [--max-regress pct] [--noise-floor ms] [--json file]
                    [--save-baseline]
@@ -38,20 +35,15 @@ sweep options:
   -nocache          do not share topologies across layer counts
   --deadline <ms>   per-job budget; over-budget jobs report verdict 'deadline'
   --sweep-deadline <ms>  whole-batch budget; unstarted jobs become 'skipped'
-  --retries <N>     retry transient failures up to N times (default 0)
-  --backoff <ms>    base retry backoff, doubled per attempt (default 1)
   --cache-capacity <N>  hard-bound the topology cache; LRU-evict past N entries
-  --cache-capacity-bytes <N>  hard cache bound by approximate resident bytes
-  --soft-capacity <N>  entries past which the sweep warns (default 256; 0 = off)
   --journal <file>  append each finished job to a crash-safe journal
   --resume <file>   skip jobs already completed in <file>, reproducing their
                     recorded results (output byte-identical to an unbroken run)
 soak options:
-  chaos-soak the persistent engine; exit 0 = governance invariants held
+  soak the persistent engine; exit 0 = governance invariants held
   -iters <N>        sweep iterations on one engine (default 10)
-  -seed <N>         chaos seed (default 1); faults are deterministic per seed
-  -fault-rate <pct> injected transient-fault probability per attempt (default 25)
-  --cache-capacity <N>  hard cache bound under chaos (default 64)
+  --cache-capacity <N>  hard cache bound; below the spec count every
+                    iteration evicts and rebuilds (default 64)
 bench-diff options:
   --max-regress <pct>  wall-time slowdown tolerated before failing (default 20)
   --noise-floor <ms>   absolute wall-time slack per record (default 2.0)

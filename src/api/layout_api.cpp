@@ -92,7 +92,6 @@ LayoutResult run_layout(const Orthogonal2Layer& ortho,
       copt.via_rule = r.layout.required_rule;
       Checker checker(ortho.graph, r.layout.geom, copt);
       r.check_report = checker.check();
-      r.check_points = r.check_report.points;
       if (!r.check_report.ok) {
         r.error = r.check_report.error;
         return r;

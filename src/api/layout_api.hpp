@@ -49,7 +49,6 @@ struct LayoutResult {
   std::uint64_t edges = 0;
   /// Full banded checker report (default-initialized if unchecked).
   CheckReport check_report;
-  std::uint64_t check_points = 0;  ///< == check_report.points (legacy field)
 };
 
 /// Validate realize options at the API boundary. Reports kSpecBadLayerCount

@@ -32,11 +32,6 @@
 // `set_deadline_after_ms` must happen-before the token is shared (the
 // engine arms tokens before spawning or handing work to workers), after
 // which they are read-only.
-//
-// `TransientError` is the retry classification boundary: a failure thrown as
-// TransientError (injected chaos, a future RPC timeout) is safe to retry;
-// every other exception is treated as deterministic and fails the job
-// immediately.
 #pragma once
 
 #include <atomic>
@@ -62,12 +57,6 @@ class CancelledError : public std::runtime_error {
  private:
   const char* phase_;
   const char* reason_;
-};
-
-/// A failure that is safe to retry (chaos injection, transient environment).
-class TransientError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
 };
 
 class CancelToken {

@@ -8,9 +8,9 @@
 // `--doctor` mode of the layout tool, the fault-injection detection matrix,
 // and the repair pipeline all rely on the complete list).
 //
-// Threading: `DiagnosticSink` is thread-safe — the batch engine routes cache
-// soft-capacity warnings into a sink from worker threads while the
-// submitting thread owns it (see DESIGN.md §7.10). All mutation and all
+// Threading: `DiagnosticSink` is thread-safe — producers on several threads
+// may report into one sink while the thread that owns it reads it after
+// they join (see DESIGN.md §7.10). All mutation and all
 // aggregate queries lock `mu_`; the capacity checks `full()` / `size()` /
 // `empty()` read a relaxed atomic mirror of the retained count instead, so
 // the checker's per-grid-point early-out bound costs one atomic load, not a
@@ -88,15 +88,11 @@ enum class Code : std::uint16_t {
   kSpecBadValue,        ///< malformed or out-of-range parameter value
   kSpecBadLayerCount,   ///< RealizeOptions::L outside [2, 1024]
 
-  // Engine resource warnings (src/engine).
-  kCacheCapacity,       ///< topology cache grew past its soft capacity
-
   // Engine resource governance (src/engine): deadline / cancellation
   // outcomes. A job that trips its budget yields one of these instead of a
   // hung worker.
   kJobDeadline,         ///< one job exceeded its per-job deadline
   kSweepDeadline,       ///< the whole sweep exceeded its deadline / cancelled
-  kJobRetryExhausted,   ///< transient failures persisted past max retries
   kJournalError,        ///< sweep journal unreadable / wrong format
 };
 

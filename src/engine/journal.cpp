@@ -110,8 +110,7 @@ std::size_t SweepJournal::recorded() const {
 
 void SweepJournal::record(const JobResult& r) {
   if (file_ == nullptr) return;
-  if (r.verdict != JobVerdict::kOk && r.verdict != JobVerdict::kRetried &&
-      r.verdict != JobVerdict::kFailed)
+  if (r.verdict != JobVerdict::kOk && r.verdict != JobVerdict::kFailed)
     return;  // deadline/skipped jobs did not finish; a resume re-runs them
   const LayoutMetrics& m = r.metrics;
   std::string line = sweep_job_key(r.spec, r.L);
@@ -161,17 +160,12 @@ std::optional<SweepResume> SweepJournal::load(const std::string& path,
                                 .message());
     return std::nullopt;
   }
-  // Accept the bare schema tag (pre-flight-recorder journals) or the tag
-  // followed by tab-separated annotations such as run_id=.
+  // The schema tag followed by the run id of the process that started it.
   std::string line;
-  const std::string_view header = kHeader;
-  const bool header_ok =
-      std::getline(in, line) &&
-      std::string_view(line).substr(0, header.size()) == header &&
-      (line.size() == header.size() || line[header.size()] == '\t');
-  if (!header_ok) {
+  const std::string header = std::string(kHeader) + "\trun_id=";
+  if (!std::getline(in, line) || line.compare(0, header.size(), header) != 0) {
     journal_error(sink, path + ": missing '" + std::string(kHeader) +
-                            "' header");
+                            "' header with run_id");
     return std::nullopt;
   }
 
@@ -236,7 +230,7 @@ std::optional<SweepResume> SweepJournal::load(const std::string& path,
       ++resume.malformed_lines;
       continue;
     }
-    r.ok = r.verdict == JobVerdict::kOk || r.verdict == JobVerdict::kRetried;
+    r.ok = r.verdict == JobVerdict::kOk;
     // Re-recorded keys (a job finished again in a later resumed run) keep
     // the newest record, matching append order.
     resume.done[std::string(fields[0])] = std::move(r);

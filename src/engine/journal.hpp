@@ -1,7 +1,7 @@
 // Crash-safe sweep checkpoint journal.
 //
 // A `SweepJournal` is an append-only text file recording every *finished*
-// sweep job — ok, retried-to-success, or deterministically failed — one
+// sweep job — ok or failed — one
 // flushed line per job, so a killed process loses at most the jobs that were
 // still in flight. Deadline and skipped jobs are deliberately not recorded:
 // they did not finish, and a resumed run (presumably with a fresh budget)
@@ -10,10 +10,9 @@
 // worker, and a resumed run re-derives the identical failure for free.
 //
 // Format (`mlvl-sweep-journal-v1`): a header line, then one record per line,
-// tab-separated. A fresh journal's header is annotated with the run id of
-// the process that created it (`mlvl-sweep-journal-v1 \t run_id=<id>`);
-// the loader accepts the bare tag too, so pre-annotation journals resume
-// unchanged. Records:
+// tab-separated. The header carries the run id of the process that created
+// the journal (`mlvl-sweep-journal-v1 \t run_id=<id>`); a bare tag without
+// it is refused. Records:
 //
 //   <spec>|L=<L> \t verdict=<name> \t attempts=<n> \t cache_hit=<0|1>
 //     \t nodes=.. \t edges=.. \t w=.. \t h=.. \t layers=.. \t area=..
@@ -77,7 +76,7 @@ class SweepJournal {
   [[nodiscard]] std::size_t recorded() const MLVL_EXCLUDES(mu_);
 
   /// Append one finished job and flush. Thread-safe (workers record from the
-  /// pool); verdicts other than ok/retried/failed are ignored by design.
+  /// pool); verdicts other than ok/failed are ignored by design.
   void record(const JobResult& r) MLVL_EXCLUDES(mu_);
 
   /// Parse a journal written by this class. Returns std::nullopt (with a

@@ -55,7 +55,17 @@ OrthoCache::Ptr OrthoCache::get_or_build(
   if (hit != nullptr) *hit = !builder;
   if (!builder) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    return fut.get();  // blocks until the builder finishes
+    try {
+      return fut.get();  // blocks until the builder finishes
+    } catch (const CancelledError&) {
+      // The build we waited on was cancelled by its builder's budget, and
+      // the builder erased the entry before publishing the error. Only a
+      // caller whose own budget has tripped inherits the cancellation;
+      // anyone else looks the key up again.
+      const CancelToken* own = current_cancel_token();
+      if (own != nullptr && own->tripped()) throw;
+    }
+    return get_or_build(key, build, hit);
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
 
@@ -72,22 +82,18 @@ OrthoCache::Ptr OrthoCache::get_or_build(
       }
     }
     mine.set_value(std::move(built));
-    note_built(key, entry_bytes);
+    enforce_capacity(key);
+    publish_gauges();
+  } catch (const CancelledError&) {
+    // Cancellation is not a property of the spec: erase the entry so a
+    // later job (or a co-waiter with budget left) rebuilds instead of
+    // inheriting the error.
+    erase_entry(key);
+    mine.set_exception(std::current_exception());
   } catch (...) {
     // Deterministic failures stay as poisoned entries so every job sharing
-    // the spec fails identically. Cancellation and transient failures are
-    // *not* properties of the spec: erase the entry so a later job (a retry,
-    // or one with a fresh deadline) rebuilds instead of inheriting the error.
-    bool keep = true;
-    try {
-      throw;
-    } catch (const CancelledError&) {
-      keep = false;
-    } catch (const TransientError&) {
-      keep = false;
-    } catch (...) {
-    }
-    if (keep) {
+    // the spec fails identically.
+    {
       MutexLock lock(&sh.mu);
       auto it = sh.map.find(key);
       if (it != sh.map.end()) {
@@ -95,18 +101,10 @@ OrthoCache::Ptr OrthoCache::get_or_build(
         it->second.bytes = key.size();
         bytes_.fetch_add(key.size(), std::memory_order_relaxed);
       }
-    } else {
-      erase_entry(key);
     }
     mine.set_exception(std::current_exception());
   }
   return fut.get();
-}
-
-void OrthoCache::note_built(const std::string& key, std::size_t /*bytes*/) {
-  maybe_warn_soft_capacity();
-  enforce_capacity(key);
-  publish_gauges();
 }
 
 void OrthoCache::erase_entry(const std::string& key) {
@@ -120,21 +118,14 @@ void OrthoCache::erase_entry(const std::string& key) {
 }
 
 void OrthoCache::enforce_capacity(const std::string& protected_key) {
-  std::size_t max_entries, max_bytes;
+  std::size_t max_entries;
   {
     MutexLock lock(&cfg_mu_);
     max_entries = max_entries_;
-    max_bytes = max_bytes_;
   }
-  if (max_entries == 0 && max_bytes == 0) return;
+  if (max_entries == 0) return;
 
-  auto over = [&] {
-    return (max_entries != 0 &&
-            entries_.load(std::memory_order_relaxed) > max_entries) ||
-           (max_bytes != 0 &&
-            bytes_.load(std::memory_order_relaxed) > max_bytes);
-  };
-  while (over()) {
+  while (entries_.load(std::memory_order_relaxed) > max_entries) {
     // Exact LRU victim: smallest recency tick over all built entries. The
     // scan locks one shard at a time (bounded by the entry capacity) and
     // only runs on the eviction path — hits never pay for it.
@@ -172,36 +163,6 @@ void OrthoCache::enforce_capacity(const std::string& protected_key) {
   }
 }
 
-void OrthoCache::maybe_warn_soft_capacity() {
-  DiagnosticSink* warn_sink = nullptr;
-  std::size_t soft = 0;
-  const std::size_t entries = entries_.load(std::memory_order_relaxed);
-  bool crossed = false;
-  {
-    MutexLock lock(&cfg_mu_);
-    if (soft_capacity_ != 0 && entries > soft_capacity_ && !overflowed_) {
-      overflowed_ = true;
-      warn_sink = sink_;
-      soft = soft_capacity_;
-      crossed = true;
-    }
-  }
-  // Outside the lock: counter_add takes the registry mutex, and cfg_mu_
-  // stays a leaf in the lock order (§7.10).
-  if (crossed) obs::counter_add("engine.cache.soft_overflow");
-  if (warn_sink != nullptr) {
-    Diagnostic d;
-    d.code = Code::kCacheCapacity;
-    d.severity = Severity::kWarning;
-    d.detail = std::to_string(entries) + " entries > soft capacity " +
-               std::to_string(soft) +
-               "; consider clearing or bounding the topology cache";
-    warn_sink->report(std::move(d));
-  }
-}
-
-void OrthoCache::poll_soft_capacity() { maybe_warn_soft_capacity(); }
-
 void OrthoCache::publish_gauges() const {
   obs::gauge_set("engine.cache.size",
                  static_cast<double>(entries_.load(std::memory_order_relaxed)));
@@ -209,11 +170,10 @@ void OrthoCache::publish_gauges() const {
                  static_cast<double>(bytes_.load(std::memory_order_relaxed)));
 }
 
-void OrthoCache::set_capacity(std::size_t max_entries, std::size_t max_bytes) {
+void OrthoCache::set_capacity(std::size_t max_entries) {
   {
     MutexLock lock(&cfg_mu_);
     max_entries_ = max_entries;
-    max_bytes_ = max_bytes;
   }
   enforce_capacity({});
   publish_gauges();
@@ -222,11 +182,6 @@ void OrthoCache::set_capacity(std::size_t max_entries, std::size_t max_bytes) {
 std::size_t OrthoCache::capacity() const {
   MutexLock lock(&cfg_mu_);
   return max_entries_;
-}
-
-std::size_t OrthoCache::capacity_bytes() const {
-  MutexLock lock(&cfg_mu_);
-  return max_bytes_;
 }
 
 std::size_t OrthoCache::size() const {
@@ -257,32 +212,7 @@ void OrthoCache::clear() {
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
   evictions_.store(0, std::memory_order_relaxed);
-  {
-    MutexLock lock(&cfg_mu_);
-    overflowed_ = false;
-  }
   publish_gauges();
-}
-
-void OrthoCache::set_soft_capacity(std::size_t entries, DiagnosticSink* sink) {
-  MutexLock lock(&cfg_mu_);
-  soft_capacity_ = entries;
-  sink_ = sink;
-}
-
-std::size_t OrthoCache::soft_capacity() const {
-  MutexLock lock(&cfg_mu_);
-  return soft_capacity_;
-}
-
-bool OrthoCache::overflowed() const {
-  MutexLock lock(&cfg_mu_);
-  return overflowed_;
-}
-
-void OrthoCache::rearm_soft_warning() {
-  MutexLock lock(&cfg_mu_);
-  overflowed_ = false;
 }
 
 }  // namespace mlvl::engine

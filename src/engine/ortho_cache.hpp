@@ -9,12 +9,13 @@
 // every other caller blocks on a shared future of the same result. A build
 // that throws a *deterministic* error poisons its entry (all waiters see the
 // same exception, keeping failures deterministic per spec); a build that is
-// cancelled (CancelledError) or fails transiently (TransientError) erases
-// its entry instead, so one job's deadline never poisons the spec for every
-// later job.
+// cancelled (CancelledError) erases its entry instead, so one job's deadline
+// never poisons the spec for every later job. A co-waiter whose own budget
+// is intact does not inherit that cancellation: it looks the key up again
+// and builds (or waits on) a fresh entry.
 //
-// Capacity and eviction: `set_capacity(entries, bytes)` arms hard limits
-// (0 = unbounded). When an insert pushes the cache over either limit, the
+// Capacity and eviction: `set_capacity(entries)` arms one hard LRU bound
+// (0 = unbounded). When an insert pushes the cache past it, the
 // least-recently-used *built* entry is evicted (in-flight builds and the
 // entry just inserted are never victims). Recency is a global monotonic tick
 // stamped on every hit, so LRU order is exact even though the map is sharded.
@@ -27,12 +28,8 @@
 // Observability: hits, misses and evictions are counted both internally
 // (`stats()`) and on the obs registry (`engine.cache.evicted`); every
 // successful build or eviction updates the `engine.cache.size` and
-// `engine.cache.bytes` gauges. The *soft* capacity is the pre-eviction
-// tripwire: the first growth past it emits one `Code::kCacheCapacity`
-// warning to the configured sink plus an `engine.cache.soft_overflow`
-// counter tick; `rearm_soft_warning` resets the one-shot latch (the batch
-// engine re-arms per sweep so every over-capacity sweep warns, not only the
-// first in the process).
+// `engine.cache.bytes` gauges. Bytes are telemetry (`approx_layout_bytes`),
+// not a bound.
 #pragma once
 
 #include <array>
@@ -45,7 +42,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "core/diagnostics.hpp"
 #include "core/orthogonal.hpp"
 #include "core/thread_annotations.hpp"
 
@@ -82,40 +78,23 @@ class OrthoCache {
 
   /// Returns the layout for `key`, invoking `build` at most once per key
   /// across all threads. `*hit` (optional) is false only for the caller that
-  /// actually built. Rethrows the builder's exception for every co-waiter.
+  /// actually built. Rethrows the builder's exception for every co-waiter,
+  /// except a CancelledError when the caller's own installed CancelToken has
+  /// not tripped: that caller looks the key up again instead.
   Ptr get_or_build(const std::string& key,
                    const std::function<Orthogonal2Layer()>& build,
                    bool* hit = nullptr);
 
-  /// Hard capacity limits; eviction keeps the cache at or under both.
-  /// 0 = unbounded (the default). Safe to call between batches; an
-  /// over-capacity cache shrinks on the next insert.
-  void set_capacity(std::size_t max_entries, std::size_t max_bytes = 0)
-      MLVL_EXCLUDES(cfg_mu_);
+  /// Hard LRU bound in entries; 0 = unbounded (the default). Safe to call
+  /// between batches; an over-capacity cache shrinks immediately.
+  void set_capacity(std::size_t max_entries) MLVL_EXCLUDES(cfg_mu_);
   [[nodiscard]] std::size_t capacity() const MLVL_EXCLUDES(cfg_mu_);
-  [[nodiscard]] std::size_t capacity_bytes() const MLVL_EXCLUDES(cfg_mu_);
 
   [[nodiscard]] std::size_t size() const;
   /// Approximate bytes held by all successfully built entries.
   [[nodiscard]] std::size_t approx_bytes() const;
   [[nodiscard]] CacheStats stats() const;
   void clear();
-
-  /// Entries past which the cache warns (0 = unbounded, the default).
-  /// `sink` (optional, non-owning, must outlive the cache) receives one
-  /// kWarning diagnostic per armed period when the capacity is crossed.
-  void set_soft_capacity(std::size_t entries, DiagnosticSink* sink = nullptr)
-      MLVL_EXCLUDES(cfg_mu_);
-  [[nodiscard]] std::size_t soft_capacity() const MLVL_EXCLUDES(cfg_mu_);
-  /// True once the cache has grown past its soft capacity since last re-arm.
-  [[nodiscard]] bool overflowed() const MLVL_EXCLUDES(cfg_mu_);
-  /// Re-arm the one-shot soft-capacity warning (e.g. at the start of a new
-  /// sweep) so the next crossing warns again.
-  void rearm_soft_warning() MLVL_EXCLUDES(cfg_mu_);
-  /// Emit the soft-capacity warning now if the cache is over the soft limit
-  /// and the latch is armed — catches the all-hits batch where no insert
-  /// would otherwise re-check.
-  void poll_soft_capacity() MLVL_EXCLUDES(cfg_mu_);
 
  private:
   // Lock order (see DESIGN.md §7.10): shard mutexes and cfg_mu_ are all
@@ -135,14 +114,10 @@ class OrthoCache {
   static constexpr std::size_t kShards = 8;
 
   Shard& shard_for(const std::string& key);
-  /// Record a finished build: charge bytes, then evict past-capacity LRU
-  /// entries and fire the soft-capacity tripwire.
-  void note_built(const std::string& key, std::size_t entry_bytes);
-  /// Drop the entry for a cancelled/transient build.
+  /// Drop the entry for a cancelled build.
   void erase_entry(const std::string& key);
   void enforce_capacity(const std::string& protected_key)
       MLVL_EXCLUDES(cfg_mu_);
-  void maybe_warn_soft_capacity() MLVL_EXCLUDES(cfg_mu_);
   void publish_gauges() const;
 
   std::array<Shard, kShards> shards_;
@@ -161,14 +136,8 @@ class OrthoCache {
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> tick_{0};
 
-  mutable Mutex cfg_mu_;  ///< capacity / soft-warning configuration
-  std::size_t max_entries_ MLVL_GUARDED_BY(cfg_mu_) = 0;    ///< 0 = unbounded
-  std::size_t max_bytes_ MLVL_GUARDED_BY(cfg_mu_) = 0;      ///< 0 = unbounded
-  std::size_t soft_capacity_ MLVL_GUARDED_BY(cfg_mu_) = 0;  ///< 0 = unbounded
-  bool overflowed_ MLVL_GUARDED_BY(cfg_mu_) = false;
-  /// Non-owning warning target; the *pointer* is guarded by cfg_mu_, the
-  /// pointee is internally thread-safe (DiagnosticSink locks its own state).
-  DiagnosticSink* sink_ MLVL_GUARDED_BY(cfg_mu_) = nullptr;
+  mutable Mutex cfg_mu_;  ///< guards the capacity bound
+  std::size_t max_entries_ MLVL_GUARDED_BY(cfg_mu_) = 0;  ///< 0 = unbounded
 };
 
 }  // namespace mlvl::engine

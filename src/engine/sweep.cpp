@@ -1,6 +1,5 @@
 #include "engine/sweep.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -33,28 +32,11 @@ Orthogonal2Layer build_family_or_throw(const api::FamilySpec& spec) {
   return std::move(*o);
 }
 
-/// Deterministic backoff for retry `attempt` of job `i`: exponential base
-/// plus a splitmix-style jitter in [0, base) derived only from (i, attempt),
-/// so -j1 and -jN runs sleep identically and tests can predict schedules.
-std::uint64_t backoff_ms(std::uint32_t base_ms, std::size_t i,
-                         std::uint32_t attempt) {
-  if (base_ms == 0) return 0;
-  const std::uint32_t exp = std::min<std::uint32_t>(attempt - 1, 10);
-  const std::uint64_t base = static_cast<std::uint64_t>(base_ms) << exp;
-  std::uint64_t h =
-      (static_cast<std::uint64_t>(i) * 0x9E3779B97F4A7C15ULL) ^ attempt;
-  h ^= h >> 33;
-  h *= 0xFF51AFD7ED558CCDULL;
-  h ^= h >> 33;
-  return base + h % base;
-}
-
 }  // namespace
 
 const char* verdict_name(JobVerdict v) {
   switch (v) {
     case JobVerdict::kOk: return "ok";
-    case JobVerdict::kRetried: return "retried";
     case JobVerdict::kFailed: return "failed";
     case JobVerdict::kDeadline: return "deadline";
     case JobVerdict::kSkipped: return "skipped";
@@ -63,9 +45,8 @@ const char* verdict_name(JobVerdict v) {
 }
 
 bool verdict_from_name(std::string_view name, JobVerdict& out) {
-  for (JobVerdict v : {JobVerdict::kOk, JobVerdict::kRetried,
-                       JobVerdict::kFailed, JobVerdict::kDeadline,
-                       JobVerdict::kSkipped}) {
+  for (JobVerdict v : {JobVerdict::kOk, JobVerdict::kFailed,
+                       JobVerdict::kDeadline, JobVerdict::kSkipped}) {
     if (name == verdict_name(v)) {
       out = v;
       return true;
@@ -84,7 +65,6 @@ SweepTotals SweepReport::totals() const {
   SweepTotals t;
   for (const JobResult& j : jobs) {
     switch (j.verdict) {
-      case JobVerdict::kRetried: ++t.retried; break;
       case JobVerdict::kDeadline: ++t.deadline; break;
       case JobVerdict::kSkipped: ++t.skipped; break;
       default: break;
@@ -120,14 +100,8 @@ SweepReport BatchLayoutEngine::run(const std::vector<SweepJob>& jobs) {
   SweepReport report;
   report.jobs.resize(jobs.size());
 
-  // Route cache soft-capacity warnings into this batch's report, re-arming
-  // the one-shot latch so every over-capacity sweep warns, not only the
-  // first in the process. Hard bounds apply from this batch on; shrinking
-  // the capacity between batches evicts down on the next insert.
-  DiagnosticSink cache_sink(16);
-  cache_.set_soft_capacity(opt_.cache_soft_capacity, &cache_sink);
-  cache_.rearm_soft_warning();
-  cache_.set_capacity(opt_.cache_capacity, opt_.cache_capacity_bytes);
+  // The bound applies from this batch on; a cache over it shrinks now.
+  cache_.set_capacity(opt_.cache_capacity);
   const CacheStats cache_before = cache_.stats();
 
   // Canonicalize every spec up front, serially: deterministic, cheap, and a
@@ -189,11 +163,9 @@ SweepReport BatchLayoutEngine::run(const std::vector<SweepJob>& jobs) {
   if (opt_.sweep_deadline_ms != 0)
     sweep_token.set_deadline_after_ms(opt_.sweep_deadline_ms);
 
-  // Both relaxed by design: `next` only hands out disjoint indices (the
-  // claimed slot itself is the payload, and each report.jobs[i] has exactly
-  // one writer); `transient_failures` is a pure tally read after join(),
-  // which supplies the final happens-before. Audited in DESIGN.md §7.10.
-  std::atomic<std::uint64_t> transient_failures{0};
+  // Relaxed by design: `next` only hands out disjoint indices (the claimed
+  // slot itself is the payload, and each report.jobs[i] has exactly one
+  // writer). Audited in DESIGN.md §7.10.
   std::atomic<std::size_t> next{0};
   auto worker = [&](unsigned wid) {
     // Per-worker latency histograms let a regression be localized: one slow
@@ -226,27 +198,21 @@ SweepReport BatchLayoutEngine::run(const std::vector<SweepJob>& jobs) {
       obs::histogram_record("engine.queue_wait_ms", r.queue_wait_ms);
       if (per_worker) obs::histogram_record(wq, r.queue_wait_ms);
       const Clock::time_point job_t0 = Clock::now();
-      for (std::uint32_t attempt = 1;; ++attempt) {
-        r.attempts = attempt;
-        // Fresh per-attempt token: a retry gets a full job budget, and the
-        // parent link makes the sweep deadline observable mid-pipeline.
+      r.attempts = 1;
+      {
+        // The parent link makes the sweep deadline observable mid-pipeline.
         CancelToken job_token(&sweep_token);
         if (opt_.job_deadline_ms != 0)
           job_token.set_deadline_after_ms(opt_.job_deadline_ms);
         CancelScope scope(&job_token);
-        // Correlation tags: every phase span recorded inside this attempt
-        // nests under an engine.job identified by what it was building.
-        // The verdict arg is attached where each attempt concludes.
+        // Correlation tags: every phase span recorded inside this job nests
+        // under an engine.job identified by what it was building. The
+        // verdict arg is attached where the job concludes.
         obs::Span job_span("engine.job");
         job_span.arg("spec", keys[i])
             .arg("L", std::uint64_t{jobs[i].options.L})
-            .arg("worker", std::uint64_t{wid})
-            .arg("attempt", std::uint64_t{attempt});
-        bool transient = false;
+            .arg("worker", std::uint64_t{wid});
         try {
-          if (opt_.inject_fault && opt_.inject_fault(i, attempt))
-            throw TransientError("injected transient fault");
-
           OrthoCache::Ptr ortho;
           bool hit = false;
           if (opt_.use_cache) {
@@ -270,60 +236,24 @@ SweepReport BatchLayoutEngine::run(const std::vector<SweepJob>& jobs) {
           r.nodes = res.nodes;
           r.edges = res.edges;
           r.metrics = std::move(res.metrics);
-          r.verdict = r.ok
-                          ? (attempt > 1 ? JobVerdict::kRetried : JobVerdict::kOk)
-                          : JobVerdict::kFailed;
-          job_span.arg("verdict", verdict_name(r.verdict));
-          break;
+          r.verdict = r.ok ? JobVerdict::kOk : JobVerdict::kFailed;
         } catch (const CancelledError& ex) {
-          if (job_token.tripped()) {
-            // Our own budget (or the sweep's, mid-flight): structured
-            // deadline verdict instead of a hung worker.
-            r.ok = false;
-            r.verdict = JobVerdict::kDeadline;
-            r.error = ex.what();
-            job_span.arg("verdict", verdict_name(r.verdict));
-            obs::counter_add(sweep_token.tripped_flag_only()
-                                 ? "engine.deadline.sweep"
-                                 : "engine.deadline.job");
-            break;
-          }
-          // A co-waited cache build was cancelled by *another* job's
-          // deadline; our budget is intact, so treat it as transient and
-          // rebuild (the cache erased the cancelled entry).
-          transient = true;
+          // Only this job's own token (or the sweep's, its parent) throws
+          // here: the cache rebuilds past other jobs' cancelled builds.
+          // Structured deadline verdict instead of a hung worker.
+          r.ok = false;
+          r.verdict = JobVerdict::kDeadline;
           r.error = ex.what();
-        } catch (const TransientError& ex) {
-          transient = true;
-          r.error = ex.what();
+          obs::counter_add(sweep_token.tripped_flag_only()
+                               ? "engine.deadline.sweep"
+                               : "engine.deadline.job");
         } catch (const std::exception& ex) {
           r.ok = false;
           r.verdict = JobVerdict::kFailed;
           r.error = ex.what();
-          job_span.arg("verdict", verdict_name(r.verdict));
-          break;
         }
-        if (transient) {
-          transient_failures.fetch_add(1, std::memory_order_relaxed);
-          obs::counter_add("engine.retry.attempts");
-          if (attempt > opt_.max_retries) {
-            r.ok = false;
-            r.verdict = JobVerdict::kFailed;
-            r.error = "transient failure persisted past retry budget: " +
-                      r.error;
-            job_span.arg("verdict", verdict_name(r.verdict));
-            obs::counter_add("engine.retry.exhausted");
-            break;
-          }
-          job_span.arg("verdict", "transient");
-          const std::uint64_t delay =
-              backoff_ms(opt_.retry_backoff_ms, i, attempt);
-          if (delay != 0)
-            std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-        }
+        job_span.arg("verdict", verdict_name(r.verdict));
       }
-      if (r.verdict == JobVerdict::kRetried)
-        obs::counter_add("engine.retry.success");
       r.run_ms = ms_since(job_t0);
       obs::histogram_record("engine.job_ms", r.run_ms);
       if (per_worker) obs::histogram_record(wj, r.run_ms);
@@ -355,7 +285,6 @@ SweepReport BatchLayoutEngine::run(const std::vector<SweepJob>& jobs) {
     else
       ++report.cache_misses;
   }
-  report.retry_attempts = transient_failures.load(std::memory_order_relaxed);
   obs::gauge_set("engine.threads", threads);
   obs::gauge_set("engine.wall_ms", report.wall_ms);
   obs::gauge_set("engine.utilization", report.utilization());
@@ -369,18 +298,10 @@ SweepReport BatchLayoutEngine::run(const std::vector<SweepJob>& jobs) {
     report.warnings.push_back(std::move(d));
   }
 
-  // Cache telemetry + any soft-capacity warning raised during this batch.
-  // poll first: an all-hits batch performs no insert, so the soft tripwire
-  // would otherwise stay silent even though the cache is over the limit.
-  cache_.poll_soft_capacity();
   const CacheStats cache_after = cache_.stats();
   report.cache_evictions = cache_after.evictions - cache_before.evictions;
   report.cache_entries = cache_after.entries;
   report.cache_bytes = cache_after.bytes;
-  for (const Diagnostic& d : cache_sink.diagnostics())
-    report.warnings.push_back(d);
-  // The sink is stack-local, so detach it before returning.
-  cache_.set_soft_capacity(opt_.cache_soft_capacity, nullptr);
   return report;
 }
 

@@ -11,8 +11,8 @@
 // `OrthoCache` keyed by canonical spec text: sweeping one topology over many
 // layer counts builds the orthogonal layout once and realizes it per L. The
 // cache persists across `run` calls, making the engine a long-lived service;
-// `cache_capacity` / `cache_capacity_bytes` bound it with LRU eviction so a
-// sustained request stream cannot grow it without limit.
+// `cache_capacity` bounds it in entries with LRU eviction so a sustained
+// request stream cannot grow it without limit.
 //
 // Failure containment (the governance layer):
 //  * **Deadlines.** `job_deadline_ms` arms a cooperative CancelToken per
@@ -21,33 +21,28 @@
 //    check) poll the installed token and unwind with CancelledError; the
 //    worker converts that into a `JobVerdict::kDeadline` result — a
 //    structured partial report, never a hung worker. Jobs not yet started
-//    when the sweep deadline trips come back `kSkipped`.
-//  * **Retry.** A job failing with `TransientError` (chaos injection, future
-//    transient environments) is retried up to `max_retries` times with
-//    deterministic exponential backoff + jitter derived from the job index —
-//    no wall-clock dependence, so -j1 and -j8 retry schedules decide
-//    identically. Deterministic failures (bad spec, checker rejection,
-//    builder errors) never retry.
+//    when the sweep deadline trips come back `kSkipped`. A job that was
+//    waiting on another job's cancelled topology build keeps its own budget:
+//    the cache rebuilds for it (see OrthoCache::get_or_build).
+//  * **Each job runs once.** The pipeline is deterministic CPU work, so a
+//    failure (bad spec, checker rejection, builder error) is final.
 //  * **Checkpoint/resume.** With a `SweepJournal` attached, every finished
-//    job (ok / retried / deterministically failed) is appended — one flushed
-//    line per job — and a `SweepResume` loaded from such a journal lets the
-//    next run skip completed spec×L keys while reproducing their results in
-//    submission order, byte-identical to an uninterrupted run.
+//    job (ok or failed) is appended — one flushed line per job — and a
+//    `SweepResume` loaded from such a journal lets the next run skip
+//    completed spec×L keys while reproducing their results in submission
+//    order, byte-identical to an uninterrupted run.
 //
 // Observability: the whole batch runs under an "engine.sweep" span with one
-// nested "engine.job" span per executed attempt; counters
+// nested "engine.job" span per executed job; counters
 // engine.jobs.submitted / .completed / .failed / .resumed,
-// engine.cache.hit / .miss / .evicted / .soft_overflow,
-// engine.retry.attempts / .success / .exhausted, and
-// engine.deadline.job / .sweep; histograms engine.queue_wait_ms /
-// engine.job_ms (aggregate) plus per-worker
-// engine.worker.<i>.queue_wait_ms / .job_ms log2-histograms; gauges
+// engine.cache.hit / .miss / .evicted, and engine.deadline.job / .sweep;
+// histograms engine.queue_wait_ms / engine.job_ms (aggregate) plus
+// per-worker engine.worker.<i>.queue_wait_ms / .job_ms log2-histograms; gauges
 // engine.threads / engine.wall_ms / engine.utilization /
 // engine.cache.size / engine.cache.bytes.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,17 +62,16 @@ struct SweepJob {
   RealizeOptions options{};
 };
 
-/// How one job ended. `kOk`/`kRetried` are successes; the rest partition the
-/// failure modes so a report can distinguish "wrong" from "over budget".
+/// How one job ended. `kOk` is success; the rest partition the failure
+/// modes so a report can distinguish "wrong" from "over budget".
 enum class JobVerdict : std::uint8_t {
-  kOk = 0,       ///< succeeded on the first attempt
-  kRetried,      ///< succeeded after >= 1 transient-failure retry
-  kFailed,       ///< deterministic failure (bad spec, checker, exhausted retry)
+  kOk = 0,       ///< succeeded
+  kFailed,       ///< deterministic failure (bad spec, checker, builder)
   kDeadline,     ///< per-job deadline tripped mid-pipeline
   kSkipped,      ///< never started: sweep deadline / cancellation
 };
 
-/// Stable lowercase label ("ok", "retried", "failed", "deadline", "skipped").
+/// Stable lowercase label ("ok", "failed", "deadline", "skipped").
 [[nodiscard]] const char* verdict_name(JobVerdict v);
 /// Inverse of verdict_name; used by the journal reader.
 [[nodiscard]] bool verdict_from_name(std::string_view name, JobVerdict& out);
@@ -89,8 +83,8 @@ struct JobResult {
   std::uint32_t L = 0;
   bool ok = false;
   JobVerdict verdict = JobVerdict::kFailed;
-  std::uint32_t attempts = 0; ///< pipeline executions (0 = never started;
-                              ///< resumed jobs keep their recorded count)
+  std::uint32_t attempts = 0; ///< 1 once the pipeline ran, 0 = never
+                              ///< started (resumed jobs keep the record's)
   bool cache_hit = false;     ///< orthogonal layout came from the cache
   bool resumed = false;       ///< reproduced from a SweepResume journal
   std::string error;          ///< first failure; empty when ok
@@ -98,7 +92,7 @@ struct JobResult {
   std::uint64_t edges = 0;
   LayoutMetrics metrics;
   double queue_wait_ms = 0;   ///< batch start -> job pickup
-  double run_ms = 0;          ///< job pickup -> completion (all attempts)
+  double run_ms = 0;          ///< job pickup -> completion
 };
 
 struct SweepOptions {
@@ -109,27 +103,13 @@ struct SweepOptions {
   /// batches on huge layouts.
   std::uint32_t check_threads = 1;
   bool use_cache = true; ///< share Orthogonal2Layer across same-spec jobs
-  /// Topology-cache entries past which a kWarning diagnostic is emitted
-  /// (into SweepReport::warnings) and engine.cache.soft_overflow ticks.
-  /// 0 = unbounded. Re-armed per run, so every over-capacity sweep warns.
-  std::size_t cache_soft_capacity = 256;
-  /// Hard cache bounds with LRU eviction; 0 = unbounded.
+  /// Topology-cache entries, hard-bounded with LRU eviction; 0 = unbounded.
   std::size_t cache_capacity = 0;
-  std::size_t cache_capacity_bytes = 0;
   /// Cooperative wall-clock budgets; 0 = none. A tripped job budget yields
   /// JobVerdict::kDeadline; a tripped sweep budget cancels in-flight jobs
   /// and skips the rest.
   std::uint32_t job_deadline_ms = 0;
   std::uint32_t sweep_deadline_ms = 0;
-  /// Retry-with-backoff for TransientError failures. attempts = 1 + retries.
-  std::uint32_t max_retries = 0;
-  std::uint32_t retry_backoff_ms = 1;  ///< base; doubles per retry + jitter
-  /// Test/chaos seam: when set, a job attempt for which this returns true
-  /// fails with an injected TransientError before touching the pipeline.
-  /// Must be deterministic in (job index, attempt) to preserve the -j1/-jN
-  /// determinism contract.
-  std::function<bool(std::size_t job, std::uint32_t attempt)> inject_fault =
-      nullptr;
   /// Optional crash-safe journal: finished jobs are appended (and flushed)
   /// as they complete. Non-owning; must outlive run().
   SweepJournal* journal = nullptr;
@@ -142,7 +122,6 @@ struct SweepOptions {
 struct SweepTotals {
   std::uint64_t ok = 0;
   std::uint64_t failed = 0;     ///< kFailed + kDeadline + kSkipped
-  std::uint64_t retried = 0;    ///< subset of ok
   std::uint64_t deadline = 0;   ///< subset of failed
   std::uint64_t skipped = 0;    ///< subset of failed
   std::uint64_t area = 0;
@@ -161,10 +140,9 @@ struct SweepReport {
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;  ///< LRU evictions during this batch
   std::uint64_t resumed = 0;          ///< jobs reproduced from the journal
-  std::uint64_t retry_attempts = 0;   ///< transient failures seen this batch
   std::size_t cache_entries = 0;      ///< cache size after the batch
   std::size_t cache_bytes = 0;        ///< approximate resident footprint
-  std::vector<Diagnostic> warnings;   ///< e.g. cache soft-capacity crossings
+  std::vector<Diagnostic> warnings;   ///< e.g. a tripped sweep deadline
 
   [[nodiscard]] bool all_ok() const;
   [[nodiscard]] SweepTotals totals() const;

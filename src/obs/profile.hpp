@@ -83,7 +83,6 @@ struct SlowJob {
   std::uint64_t L = 0;
   std::string verdict;
   std::uint64_t worker = 0;
-  std::uint64_t attempt = 0;
   std::uint64_t dur_us = 0;
 };
 

@@ -72,11 +72,7 @@ void RunReport::write_json(std::ostream& os) const {
        << ",\n    \"governance\": {\"job_deadline_ms\": "
        << sweep.job_deadline_ms
        << ", \"sweep_deadline_ms\": " << sweep.sweep_deadline_ms
-       << ", \"max_retries\": " << sweep.max_retries
-       << ", \"retry_backoff_ms\": " << sweep.retry_backoff_ms
        << ", \"cache_capacity\": " << sweep.cache_capacity
-       << ", \"cache_capacity_bytes\": " << sweep.cache_capacity_bytes
-       << ", \"cache_soft_capacity\": " << sweep.cache_soft_capacity
        << "}\n  }";
   }
   os << "\n}\n";
@@ -91,7 +87,7 @@ void RunReport::write_summary(std::ostream& os) const {
     std::uint64_t ok = 0;
     std::uint64_t bad = 0;
     for (const auto& [name, count] : sweep.verdicts) {
-      if (name == "ok" || name == "retried")
+      if (name == "ok")
         ok += count;
       else
         bad += count;

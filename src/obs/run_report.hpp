@@ -54,11 +54,7 @@ struct RunReport {
     /// Governance settings the sweep ran under (0 = unlimited).
     std::uint32_t job_deadline_ms = 0;
     std::uint32_t sweep_deadline_ms = 0;
-    std::uint32_t max_retries = 0;
-    std::uint32_t retry_backoff_ms = 0;
     std::uint64_t cache_capacity = 0;
-    std::uint64_t cache_capacity_bytes = 0;
-    std::uint64_t cache_soft_capacity = 0;
   } sweep;
 
   /// `mlvl-run-report-v1` JSON document.

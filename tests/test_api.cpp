@@ -63,7 +63,7 @@ TEST(FamilyRegistry, SampleSpecsRoundTripAndBuild) {
     ASSERT_TRUE(res.ok) << f->name << ": " << res.error;
     EXPECT_GT(res.nodes, 0u) << f->name;
     EXPECT_GT(res.metrics.area, 0u) << f->name;
-    EXPECT_GT(res.check_points, 0u) << f->name;
+    EXPECT_GT(res.check_report.points, 0u) << f->name;
   }
 }
 
@@ -191,8 +191,6 @@ TEST(RunLayout, CheckReportRidesTheResult) {
   EXPECT_GT(res.check_report.bands, 0u);
   EXPECT_EQ(res.check_report.bands_checked, res.check_report.bands);
   EXPECT_EQ(res.check_report.bands_skipped, 0u);
-  // The deprecated mirror keeps old callers working.
-  EXPECT_EQ(res.check_points, res.check_report.points);
 
   // check=false leaves the report in its default state.
   req.check = false;
@@ -200,7 +198,6 @@ TEST(RunLayout, CheckReportRidesTheResult) {
   ASSERT_TRUE(unchecked.ok) << unchecked.error;
   EXPECT_FALSE(unchecked.check_report.ok);
   EXPECT_EQ(unchecked.check_report.points, 0u);
-  EXPECT_EQ(unchecked.check_points, 0u);
 }
 
 TEST(RunLayout, BadLayerCountFailsWithDiagnostic) {

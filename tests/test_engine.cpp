@@ -193,28 +193,7 @@ TEST(Engine, CacheTelemetryGaugesTrackSizeAndBytes) {
   // Per-worker queue-wait and job-latency histograms exist for each thread.
   EXPECT_TRUE(metrics.histogram("engine.worker.0.job_ms").has_value());
   EXPECT_TRUE(metrics.histogram("engine.worker.0.queue_wait_ms").has_value());
-  // Within soft capacity: no warnings.
-  EXPECT_EQ(metrics.counter("engine.cache.soft_overflow"), 0u);
   EXPECT_TRUE(r.warnings.empty());
-}
-
-TEST(Engine, CacheSoftCapacityOverflowWarnsOnce) {
-  obs::MetricsRegistry metrics;
-  metrics.install();
-  // Four unique topologies against a soft capacity of 2: the cache keeps
-  // building (no eviction) but flags the crossing exactly once.
-  const std::vector<SweepJob> jobs = hypercube_grid(3, 6, 2, 3);
-  SweepReport r = run_sweep(jobs, {.threads = 2, .cache_soft_capacity = 2});
-  obs::MetricsRegistry::uninstall();
-  ASSERT_TRUE(r.all_ok());
-
-  EXPECT_EQ(r.cache_entries, 4u);
-  EXPECT_EQ(metrics.counter("engine.cache.soft_overflow"), 1u);
-  ASSERT_EQ(r.warnings.size(), 1u);
-  EXPECT_EQ(r.warnings[0].severity, Severity::kWarning);
-  EXPECT_EQ(r.warnings[0].code, Code::kCacheCapacity);
-  EXPECT_NE(r.warnings[0].detail.find("soft capacity 2"), std::string::npos)
-      << r.warnings[0].detail;
 }
 
 TEST(Engine, ZeroJobsIsANoOp) {

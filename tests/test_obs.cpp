@@ -446,10 +446,9 @@ TEST(UsageText, NamesTheInstalledBinaryAndEveryFlagFamily) {
         "-L <layers>", "-svg", "-congestion", "-nocheck", "-repair",
         "-baseline", "-save-baseline", "-disable", "-transparent",
         "sweep <spec-range>", "-j <N>", "-nocache", "hypercube(n=4..8)",
-        "--deadline <ms>", "--sweep-deadline <ms>", "--retries <N>",
-        "--backoff <ms>", "--cache-capacity <N>", "--cache-capacity-bytes <N>",
-        "--soft-capacity <N>", "--journal <file>", "--resume <file>",
-        "layout_tool soak", "-iters <N>", "-seed <N>", "-fault-rate <pct>",
+        "--deadline <ms>", "--sweep-deadline <ms>", "--cache-capacity <N>",
+        "--journal <file>", "--resume <file>", "layout_tool soak",
+        "-iters <N>",
         "bench-diff <baseline.json> <current.json>", "--max-regress",
         "--noise-floor", "--json", "--save-baseline", "--metrics-interval",
         "profile <trace.json>", "--report <file>", "--top <N>",
@@ -457,6 +456,11 @@ TEST(UsageText, NamesTheInstalledBinaryAndEveryFlagFamily) {
         "exit codes: 0 valid, 1 invalid, 2 parse error, 3 usage"})
     EXPECT_NE(usage.find(needle), std::string::npos)
         << "usage text lost: " << needle;
+  // Flags the tool rejects must not be advertised.
+  for (const char* gone : {"--retries", "--backoff", "--cache-capacity-bytes",
+                           "--soft-capacity", "-fault-rate", "-seed"})
+    EXPECT_EQ(usage.find(gone), std::string::npos)
+        << "usage text still lists: " << gone;
 }
 
 // ------------------------------------------------------------ JSON parser

@@ -133,8 +133,7 @@ TEST(Profile, TopKSlowestJobsCarryTheirArgs) {
     e.args = {{"spec", "hypercube(n=" + std::to_string(i) + ")"},
               {"L", std::to_string(i)},
               {"verdict", "ok"},
-              {"worker", "2"},
-              {"attempt", "1"}};
+              {"worker", "2"}};
     events.push_back(std::move(e));
   }
   obs::ProfileOptions opt;
@@ -146,7 +145,6 @@ TEST(Profile, TopKSlowestJobsCarryTheirArgs) {
   EXPECT_EQ(rep.slowest_jobs[0].L, 3u);
   EXPECT_EQ(rep.slowest_jobs[0].verdict, "ok");
   EXPECT_EQ(rep.slowest_jobs[0].worker, 2u);
-  EXPECT_EQ(rep.slowest_jobs[0].attempt, 1u);
   EXPECT_EQ(rep.slowest_jobs[1].spec, "hypercube(n=2)");
 }
 
@@ -295,7 +293,7 @@ TEST(RunReport, JsonMergesProfileMetricsAndSweepSections) {
   rep.sweep.verdicts = {{"ok", 5}, {"failed", 1}};
   rep.sweep.cache_hits = 4;
   rep.sweep.cache_misses = 2;
-  rep.sweep.max_retries = 3;
+  rep.sweep.job_deadline_ms = 3;
   rep.sweep.cache_capacity = 64;
 
   std::ostringstream os;
@@ -316,7 +314,7 @@ TEST(RunReport, JsonMergesProfileMetricsAndSweepSections) {
   EXPECT_EQ(sweep->find("jobs")->number, 6);
   EXPECT_EQ(sweep->find("verdicts")->find("ok")->number, 5);
   EXPECT_EQ(sweep->find("cache")->find("hits")->number, 4);
-  EXPECT_EQ(sweep->find("governance")->find("max_retries")->number, 3);
+  EXPECT_EQ(sweep->find("governance")->find("job_deadline_ms")->number, 3);
   EXPECT_EQ(sweep->find("governance")->find("cache_capacity")->number, 64);
 
   std::ostringstream sum;

@@ -1,8 +1,7 @@
 // Resource governance and failure containment: deadlines yield structured
-// verdicts (never hung workers), transient failures retry deterministically,
-// the bounded LRU cache evicts cold entries and keeps hot ones, the crash
-// journal round-trips every finished job, and a killed-and-resumed sweep is
-// byte-identical to an uninterrupted one — all under injected chaos.
+// verdicts (never hung workers), the bounded LRU cache evicts cold entries
+// and keeps hot ones, the crash journal round-trips every finished job, and
+// a killed-and-resumed sweep is byte-identical to an uninterrupted one.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -60,83 +59,16 @@ struct TempFile {
 // ---------------------------------------------------------------- verdicts
 
 TEST(Governance, VerdictNamesRoundTrip) {
-  for (JobVerdict v : {JobVerdict::kOk, JobVerdict::kRetried,
-                       JobVerdict::kFailed, JobVerdict::kDeadline,
-                       JobVerdict::kSkipped}) {
+  for (JobVerdict v : {JobVerdict::kOk, JobVerdict::kFailed,
+                       JobVerdict::kDeadline, JobVerdict::kSkipped}) {
     JobVerdict back = JobVerdict::kOk;
     ASSERT_TRUE(verdict_from_name(verdict_name(v), back)) << verdict_name(v);
     EXPECT_EQ(back, v);
   }
   JobVerdict ignored = JobVerdict::kOk;
   EXPECT_FALSE(verdict_from_name("bogus", ignored));
+  EXPECT_FALSE(verdict_from_name("retried", ignored));
   EXPECT_FALSE(verdict_from_name("", ignored));
-}
-
-// ------------------------------------------------------------------- retry
-
-TEST(Governance, TransientFaultRetriesToSuccess) {
-  // Every job's first attempt fails transiently; the second succeeds.
-  std::vector<SweepJob> jobs = hypercube_grid(3, 4, 2, 3);
-  SweepOptions opt;
-  opt.threads = 2;
-  opt.max_retries = 2;
-  opt.retry_backoff_ms = 0;
-  opt.inject_fault = [](std::size_t, std::uint32_t attempt) {
-    return attempt == 1;
-  };
-  SweepReport r = run_sweep(jobs, opt);
-  ASSERT_TRUE(r.all_ok());
-  EXPECT_EQ(r.retry_attempts, jobs.size());
-  for (const JobResult& j : r.jobs) {
-    EXPECT_EQ(j.verdict, JobVerdict::kRetried) << fingerprint(j);
-    EXPECT_EQ(j.attempts, 2u);
-    EXPECT_GT(j.metrics.area, 0u);
-  }
-  EXPECT_EQ(r.totals().retried, jobs.size());
-  EXPECT_EQ(r.totals().ok, jobs.size());
-}
-
-TEST(Governance, ExhaustedRetryBudgetFailsWithStructuredError) {
-  std::vector<SweepJob> jobs = hypercube_grid(3, 3, 2, 2);
-  SweepOptions opt;
-  opt.threads = 1;
-  opt.max_retries = 2;
-  opt.retry_backoff_ms = 0;
-  opt.inject_fault = [](std::size_t, std::uint32_t) { return true; };
-  SweepReport r = run_sweep(jobs, opt);
-  ASSERT_EQ(r.jobs.size(), 1u);
-  const JobResult& j = r.jobs[0];
-  EXPECT_FALSE(j.ok);
-  EXPECT_EQ(j.verdict, JobVerdict::kFailed);
-  EXPECT_EQ(j.attempts, 3u);  // 1 initial + 2 retries
-  EXPECT_NE(j.error.find("transient failure persisted"), std::string::npos)
-      << j.error;
-  EXPECT_EQ(r.totals().failed, 1u);
-}
-
-TEST(Governance, RetriedResultsMatchUnfaultedRun) {
-  // Chaos must not change what a successful job computes.
-  std::vector<SweepJob> jobs = hypercube_grid(3, 5, 2, 3);
-  SweepOptions chaos;
-  chaos.threads = 4;
-  chaos.max_retries = 3;
-  chaos.retry_backoff_ms = 0;
-  chaos.inject_fault = [](std::size_t job, std::uint32_t attempt) {
-    return attempt == 1 && job % 2 == 0;  // half the jobs hiccup once
-  };
-  SweepReport faulted = run_sweep(jobs, chaos);
-  SweepReport clean = run_sweep(jobs, {.threads = 1});
-  ASSERT_TRUE(faulted.all_ok());
-  ASSERT_EQ(faulted.jobs.size(), clean.jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const JobResult& f = faulted.jobs[i];
-    const JobResult& c = clean.jobs[i];
-    EXPECT_EQ(f.metrics.area, c.metrics.area) << i;
-    EXPECT_EQ(f.metrics.volume, c.metrics.volume) << i;
-    EXPECT_EQ(f.metrics.total_wire_length, c.metrics.total_wire_length) << i;
-    EXPECT_EQ(f.metrics.via_count, c.metrics.via_count) << i;
-    EXPECT_EQ(f.verdict, i % 2 == 0 ? JobVerdict::kRetried : JobVerdict::kOk);
-  }
 }
 
 // --------------------------------------------------------------- deadlines
@@ -240,27 +172,6 @@ TEST(Governance, RecentlyTouchedEntrySurvivesEviction) {
   EXPECT_EQ(rebuild.cache_misses, 1u);
 }
 
-TEST(Governance, SoftCapacityWarningReArmsEveryBatch) {
-  // The tripwire is per sweep, not per process: a long-lived engine whose
-  // cache sits over the soft limit warns on every batch, including an
-  // all-hits batch that inserts nothing.
-  SweepOptions opt;
-  opt.threads = 1;
-  opt.cache_soft_capacity = 1;
-  BatchLayoutEngine eng(opt);
-  const std::vector<SweepJob> jobs = hypercube_grid(3, 4, 2, 2);
-  auto warned = [](const SweepReport& r) {
-    for (const Diagnostic& d : r.warnings)
-      if (d.code == Code::kCacheCapacity) return true;
-    return false;
-  };
-  SweepReport first = eng.run(jobs);
-  SweepReport second = eng.run(jobs);  // pure cache hits
-  EXPECT_TRUE(warned(first));
-  EXPECT_TRUE(warned(second));
-  EXPECT_EQ(second.cache_misses, 0u);
-}
-
 // ----------------------------------------------------------------- journal
 
 TEST(Journal, RoundTripsEveryFinishedJob) {
@@ -349,10 +260,29 @@ TEST(Journal, WrongHeaderAndMissingFileAreStructuredFailures) {
     os << "some-other-format-v9\n";
   }
   EXPECT_FALSE(SweepJournal::load(tmp.path, &sink).has_value());
-  bool diagnosed = false;
+  // The bare schema tag without a run id is refused too.
+  {
+    std::ofstream os(tmp.path);
+    os << SweepJournal::kHeader << "\n";
+  }
+  EXPECT_FALSE(SweepJournal::load(tmp.path, &sink).has_value());
+  std::size_t diagnosed = 0;
   for (const Diagnostic& d : sink.diagnostics())
-    if (d.code == Code::kJournalError) diagnosed = true;
-  EXPECT_TRUE(diagnosed);
+    if (d.code == Code::kJournalError) ++diagnosed;
+  EXPECT_EQ(diagnosed, 2u);
+
+  // A record whose verdict the engine does not produce is malformed and is
+  // never resumed as ok.
+  {
+    std::ofstream os(tmp.path);
+    os << SweepJournal::kHeader << "\trun_id=run-0\n"
+       << "hypercube(n=3)|L=2\tverdict=retried\tattempts=2\tcache_hit=0"
+       << "\tnodes=8\tedges=12\tarea=100\terr=\n";
+  }
+  std::optional<SweepResume> resume = SweepJournal::load(tmp.path);
+  ASSERT_TRUE(resume.has_value());
+  EXPECT_EQ(resume->malformed_lines, 1u);
+  EXPECT_EQ(resume->find("hypercube(n=3)|L=2"), nullptr);
 }
 
 // ------------------------------------------------------------------ resume
@@ -429,27 +359,17 @@ TEST(Resume, PreflightFailuresReFailIdenticallyWithoutJournaling) {
   EXPECT_TRUE(r.jobs[1].resumed);
 }
 
-// -------------------------------------------------------------- chaos soak
+// -------------------------------------------------------------------- soak
 
-TEST(Soak, GovernanceInvariantsHoldUnderInjectedChaos) {
-  // A long-lived engine with a tight cache and deterministic fault injection:
-  // across several batches every job must resolve to a coherent verdict, ok
-  // results must carry real metrics, and a fresh serial engine must agree.
-  const std::vector<SweepJob> jobs = hypercube_grid(3, 5, 2, 4);
-  auto chaos = [](std::size_t job, std::uint32_t attempt) {
-    // splitmix-style deterministic hash of (job, attempt), ~25% fault rate
-    std::uint64_t x = (job * 1000003u) ^ (attempt * 0x9E3779B97F4A7C15ull);
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ull;
-    x ^= x >> 27;
-    return x % 100 < 25;
-  };
+TEST(Soak, GovernanceInvariantsHoldUnderEvictionChurn) {
+  // A long-lived engine whose cache holds 4 of the 6 topologies: every batch
+  // evicts and rebuilds. Across batches every job must succeed with real
+  // metrics, each batch must match the first, and a fresh serial engine with
+  // an unbounded cache must agree — eviction never changes a result.
+  const std::vector<SweepJob> jobs = hypercube_grid(3, 8, 2, 4);
   SweepOptions opt;
   opt.threads = 4;
   opt.cache_capacity = 4;
-  opt.max_retries = 3;
-  opt.retry_backoff_ms = 0;
-  opt.inject_fault = chaos;
   BatchLayoutEngine eng(opt);
 
   std::string first;
@@ -457,28 +377,19 @@ TEST(Soak, GovernanceInvariantsHoldUnderInjectedChaos) {
     SweepReport r = eng.run(jobs);
     ASSERT_EQ(r.jobs.size(), jobs.size());
     for (const JobResult& j : r.jobs) {
-      if (j.ok) {
-        EXPECT_TRUE(j.verdict == JobVerdict::kOk ||
-                    j.verdict == JobVerdict::kRetried);
-        EXPECT_GT(j.metrics.area, 0u);
-        EXPECT_GT(j.nodes, 0u);
-      } else {
-        EXPECT_EQ(j.verdict, JobVerdict::kFailed);
-        EXPECT_FALSE(j.error.empty());
-      }
-      if (j.verdict == JobVerdict::kRetried) {
-        EXPECT_GE(j.attempts, 2u);
-      }
-      EXPECT_LE(j.attempts, opt.max_retries + 1);
+      EXPECT_TRUE(j.ok) << fingerprint(j);
+      EXPECT_EQ(j.verdict, JobVerdict::kOk) << fingerprint(j);
+      EXPECT_GT(j.metrics.area, 0u);
+      EXPECT_GT(j.nodes, 0u);
+      EXPECT_EQ(j.attempts, 1u);
     }
     EXPECT_LE(eng.cache_size(), 4u);
-    // Fault injection is a function of (job, attempt) only, so every
-    // iteration — and any thread count — resolves identically.
     if (iter == 0)
       first = fingerprint(r);
     else
       EXPECT_EQ(fingerprint(r), first) << "iteration " << iter;
   }
+  EXPECT_GT(eng.cache_stats().evictions, 0u);  // the bound was exercised
 
   SweepOptions serial = opt;
   serial.threads = 1;

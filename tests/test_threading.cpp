@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -214,6 +215,77 @@ TEST(ThreadingOrthoCache, StatsSnapshotIsMonotoneUnderContention) {
   EXPECT_LE(s.entries, 4u);
   EXPECT_GT(s.evictions, 0u);
   EXPECT_EQ(s.entries, cache.size());
+}
+
+/// Thread A builds `key` and is cancelled mid-build (it blocks on a latch,
+/// then throws CancelledError as a tripped deadline would); thread B joins as
+/// a co-waiter on that build, with `b_token` installed (nullptr = none).
+/// Deterministic: B is known to be waiting once stats().hits == 1, and only
+/// then is A released. Returns B's layout, or nullptr if B was cancelled.
+engine::OrthoCache::Ptr co_wait_on_cancelled_build(engine::OrthoCache& cache,
+                                                   const CancelToken* b_token,
+                                                   int* b_builds) {
+  std::promise<void> building, release;
+  std::shared_future<void> released = release.get_future().share();
+  bool a_cancelled = false;
+  std::thread a([&] {
+    try {
+      (void)cache.get_or_build("k", [&]() -> Orthogonal2Layer {
+        building.set_value();
+        released.wait();
+        throw CancelledError("topology", "deadline exceeded");
+      });
+    } catch (const CancelledError&) {
+      a_cancelled = true;
+    }
+  });
+  building.get_future().wait();
+
+  engine::OrthoCache::Ptr b_result;
+  std::thread b([&] {
+    CancelScope scope(b_token);
+    try {
+      b_result = cache.get_or_build("k", [&] {
+        ++*b_builds;
+        return layout::layout_hypercube(3);
+      });
+    } catch (const CancelledError&) {
+      b_result = nullptr;
+    }
+  });
+  while (cache.stats().hits != 1) std::this_thread::yield();
+  release.set_value();
+  a.join();
+  b.join();
+  EXPECT_TRUE(a_cancelled);  // the builder always sees its own cancellation
+  return b_result;
+}
+
+TEST(ThreadingOrthoCache, CoWaiterWithIntactBudgetRebuildsPastCancelledBuild) {
+  // Another job's deadline must not fail a job whose own budget is intact:
+  // the cancelled entry is erased and the co-waiter builds it afresh.
+  engine::OrthoCache cache;
+  int b_builds = 0;
+  CancelToken intact;  // armed but never tripped
+  engine::OrthoCache::Ptr p =
+      co_wait_on_cancelled_build(cache, &intact, &b_builds);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->graph.num_nodes(), 8u);
+  EXPECT_EQ(b_builds, 1);
+  const engine::CacheStats s = cache.stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 2u);  // A's cancelled build, then B's rebuild
+  EXPECT_EQ(s.entries, 1u);
+}
+
+TEST(ThreadingOrthoCache, CoWaiterWithTrippedBudgetInheritsCancellation) {
+  engine::OrthoCache cache;
+  int b_builds = 0;
+  CancelToken tripped;
+  tripped.cancel("deadline exceeded");
+  EXPECT_EQ(co_wait_on_cancelled_build(cache, &tripped, &b_builds), nullptr);
+  EXPECT_EQ(b_builds, 0);
+  EXPECT_EQ(cache.stats().entries, 0u);  // the cancelled entry was erased
 }
 
 // ---------------------------------------------------------- DiagnosticSink
