@@ -1,8 +1,7 @@
 // Experiment C-perf — the band-sharded occupancy checker: full-pass
-// throughput (serial and parallel) and the incremental recheck() path that
-// re-verifies a single dirty stripe of an otherwise clean layout. Each point
-// also lands in the consolidated baseline so bench-diff gates the check
-// phase like any other phase.
+// throughput, serial and parallel. Each fixture also lands in the
+// consolidated baseline so bench-diff gates the check phase like any other
+// phase.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -60,38 +59,18 @@ void BM_CheckFull(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * f.o.graph.num_edges());
 }
 
-/// Steady-state repair loop: one stripe of the layout is tainted and
-/// re-verified; every clean band is served from the retained state.
-void BM_CheckIncremental(benchmark::State& state) {
-  CheckFixture& f = fixture(static_cast<int>(state.range(0)));
-  Checker checker(f.o.graph, f.ml.geom,
-                  {.via_rule = f.ml.required_rule, .incremental = true});
-  CheckReport full = checker.check();
-  if (!full.ok) state.SkipWithError(full.error.c_str());
-  std::uint32_t y = 0;
-  for (auto _ : state) {
-    checker.mark_dirty({y, y});
-    y = (y + 7) % f.ml.geom.height;
-    CheckReport rep = checker.recheck();
-    if (!rep.ok) state.SkipWithError(rep.error.c_str());
-    benchmark::DoNotOptimize(rep.points_examined);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
 BENCHMARK(BM_CheckFull)
     ->Args({0, 1})
     ->Args({0, 8})
     ->Args({1, 1})
     ->Args({1, 8})
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_CheckIncremental)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-/// Baseline rows: wall statistics of the full check and of one incremental
-/// stripe recheck, per fixture. The cost columns carry the layout's exact
-/// dimensions plus the checker's deterministic claim count (as wiring_area),
-/// so any change in what the checker examines fails the diff loudly.
-void record_baseline_rows(const char* family, CheckFixture& f) {
+/// Baseline row: wall statistics of the full check, per fixture. The cost
+/// columns carry the layout's exact dimensions plus the checker's
+/// deterministic claim count (as wiring_area), so any change in what the
+/// checker examines fails the diff loudly.
+void record_baseline_row(const char* family, CheckFixture& f) {
   const bench::BenchConfig& cfg = bench::config();
 
   bench::BenchRecord full;
@@ -121,38 +100,14 @@ void record_baseline_rows(const char* family, CheckFixture& f) {
   full.vias = f.ml.geom.vias.size();
   full.wiring_area = points;
   bench::BenchRecorder::instance().add(full);
-
-  bench::BenchRecord inc = full;
-  inc.family = std::string(family) + "-checkinc";
-  {
-    Checker checker(f.o.graph, f.ml.geom,
-                    {.via_rule = f.ml.required_rule, .incremental = true});
-    CheckReport prime = checker.check();
-    if (!prime.ok)
-      throw std::runtime_error("bench_check: invalid layout: " + prime.error);
-    std::vector<double> samples;
-    for (std::uint32_t i = 0; i < cfg.warmup + cfg.repeats; ++i) {
-      checker.mark_dirty({i % f.ml.geom.height, i % f.ml.geom.height});
-      const auto t0 = std::chrono::steady_clock::now();
-      CheckReport rep = checker.recheck();
-      const auto t1 = std::chrono::steady_clock::now();
-      if (!rep.ok)
-        throw std::runtime_error("bench_check: invalid layout: " + rep.error);
-      if (i >= cfg.warmup)
-        samples.push_back(
-            std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
-    bench::apply_wall_stats(inc, std::move(samples));
-  }
-  bench::BenchRecorder::instance().add(inc);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   mlvl::bench::parse_bench_flags(argc, argv);
-  record_baseline_rows("hypercube", hypercube_fixture());
-  record_baseline_rows("kary", kary_fixture());
+  record_baseline_row("hypercube", hypercube_fixture());
+  record_baseline_row("kary", kary_fixture());
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -207,20 +207,25 @@ class BenchRecorder {
     const io::JsonValue* f = v.find("family");
     if (f == nullptr || f->kind != io::JsonValue::Kind::kString) return false;
     r.family = f->str;
-    auto num = [&v](const char* name, double fallback = 0) {
+    auto num = [&v](const char* name) {
       const io::JsonValue* n = v.find(name);
       return n != nullptr && n->kind == io::JsonValue::Kind::kNumber ? n->number
-                                                                     : fallback;
+                                                                     : 0.0;
     };
+    // A record without the v2 wall statistics is malformed and dropped.
+    for (const char* k : {"wall_ms", "wall_min_ms", "wall_max_ms",
+                          "wall_p95_ms", "wall_stddev_ms", "repeats"}) {
+      const io::JsonValue* n = v.find(k);
+      if (n == nullptr || n->kind != io::JsonValue::Kind::kNumber) return false;
+    }
     r.L = static_cast<std::uint32_t>(num("L"));
     r.nodes = static_cast<std::uint64_t>(num("nodes"));
     r.wall_ms = num("wall_ms");
-    // v1 records carry a single wall_ms; degrade to one-sample statistics.
-    r.wall_min_ms = num("wall_min_ms", r.wall_ms);
-    r.wall_max_ms = num("wall_max_ms", r.wall_ms);
-    r.wall_p95_ms = num("wall_p95_ms", r.wall_ms);
-    r.wall_stddev_ms = num("wall_stddev_ms", 0);
-    r.repeats = static_cast<std::uint32_t>(num("repeats", 1));
+    r.wall_min_ms = num("wall_min_ms");
+    r.wall_max_ms = num("wall_max_ms");
+    r.wall_p95_ms = num("wall_p95_ms");
+    r.wall_stddev_ms = num("wall_stddev_ms");
+    r.repeats = static_cast<std::uint32_t>(num("repeats"));
     r.area = static_cast<std::uint64_t>(num("area"));
     r.wiring_area = static_cast<std::uint64_t>(num("wiring_area"));
     r.volume = static_cast<std::uint64_t>(num("volume"));
@@ -277,7 +282,8 @@ inline Measured measure(const Orthogonal2Layer& o, std::uint32_t L,
         std::chrono::duration<double, std::milli>(t1 - t0).count());
   }
   if (verify) {
-    CheckResult res = check_layout(o.graph, r.ml);
+    const CheckReport res =
+        Checker(o.graph, r.ml.geom, {.via_rule = r.ml.required_rule}).check();
     if (!res.ok) throw std::runtime_error("bench: invalid layout: " + res.error);
   }
   if (family != nullptr) {

@@ -267,8 +267,8 @@ int run_doctor(const std::vector<std::string>& args, const CommonOptions& copt,
   const CheckReport report = checker.check(sink);
   publish_sink_totals("doctor", sink);
   if (copt.loud(2))
-    std::cout << "doctor: scanned " << report.bands_checked << " band(s), "
-              << report.points_examined << " point claim(s)\n";
+    std::cout << "doctor: scanned " << report.bands << " band(s), "
+              << report.points << " point claim(s)\n";
   if (sink.empty()) {
     if (copt.loud())
       std::cout << "doctor: layout valid (" << report.points
@@ -516,7 +516,7 @@ int run_layout(const std::vector<std::string>& args, const CommonOptions& copt,
   req.spec = *spec;
   req.options = {.L = L};
   req.check = check;
-  req.check_options = chk;  // via_rule is overridden by the realized layout
+  req.check_threads = chk.threads;
   api::LayoutResult result = api::run_layout(ortho, req);
   if (!result.ok) {
     std::cerr << "checker FAILED: " << result.error << "\n";
@@ -531,9 +531,9 @@ int run_layout(const std::vector<std::string>& args, const CommonOptions& copt,
                       : "stacked-via rule")
               << ")\n";
   if (check && copt.loud(2))
-    std::cout << "checker: " << result.check_report.bands_checked
-              << " band(s) scanned across " << result.check_report.bands
-              << "\n";
+    std::cout << "checker: scanned " << result.check_report.bands
+              << " band(s), " << result.check_report.points
+              << " point claim(s)\n";
 
   if (copt.obs_enabled()) {
     // Profiled pipeline extras: the fold baseline the paper compares against

@@ -88,9 +88,9 @@ LayoutResult run_layout(const Orthogonal2Layer& ortho,
   try {
     r.layout = realize(ortho, req.options);
     if (req.check) {
-      CheckOptions copt = req.check_options;
-      copt.via_rule = r.layout.required_rule;
-      Checker checker(ortho.graph, r.layout.geom, copt);
+      Checker checker(ortho.graph, r.layout.geom,
+                      {.via_rule = r.layout.required_rule,
+                       .threads = req.check_threads});
       r.check_report = checker.check();
       if (!r.check_report.ok) {
         r.error = r.check_report.error;

@@ -29,9 +29,9 @@ struct LayoutRequest {
   FamilySpec spec;
   RealizeOptions options{};  ///< options.L validated to [2, 1024]
   bool check = true;         ///< run the geometric checker
-  /// Checker configuration (threads, band sizing). `via_rule` is ignored:
-  /// the realized layout's own required rule is always enforced.
-  CheckOptions check_options{};
+  /// Checker worker threads (CheckOptions::threads). The checker always
+  /// enforces the realized layout's own required via rule.
+  std::uint32_t check_threads = 1;
   /// Optional cooperative budget (non-owning; may be shared across
   /// requests). When the token trips mid-pipeline, run_layout returns a
   /// failed result with a kJobDeadline diagnostic instead of finishing the

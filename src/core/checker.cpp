@@ -4,10 +4,9 @@
 //   1. Frame scan (serial, record-level): coordinate-range gate, node-box
 //      bounds/duplicate/overlap checks, segment/via frame checks. No point
 //      expansion — box overlap is detected analytically with a per-layer
-//      interval sweep, so this phase is O(records log records) and cheap
-//      enough to re-run on every incremental pass.
-//   2. Band scan (parallel): records are binned into y-bands; each dirty
-//      band claims its clipped points into a dense per-worker occupancy
+//      interval sweep, so this phase is O(records log records).
+//   2. Band scan (parallel): records are binned into y-bands; each band
+//      claims its clipped points into a dense per-worker occupancy
 //      slab (owner array indexed by (row, x, layer)) — one probe per point,
 //      no hashing, no global sort. Bands whose slab would exceed the budget
 //      fall back to the sorted (point, edge) pair detector per band. The
@@ -15,12 +14,10 @@
 //      deterministic. Terminal theft is checked by probing the slab under
 //      every node box.
 //   3. Connectivity (parallel over edges): per-edge BFS over the edge's own
-//      points, unchanged from the classic checker, re-run only for edges
-//      whose rows intersect dirty bands.
+//      points, unchanged from the classic checker.
 // Per-band and per-edge results are merged into the sink in band-index /
 // edge-id order, which makes the diagnostic sequence independent of the
-// worker count and identical between a full check and an incremental
-// recheck of the same geometry.
+// worker count.
 #include "core/checker.hpp"
 
 #include <algorithm>
@@ -69,9 +66,8 @@ Diagnostic at_key(std::uint64_t k, Diagnostic d) {
 /// Fans every violation into the sink while tracking the pass verdict
 /// locally: the count and first diagnostic are recorded even for
 /// violations the sink has no room for, so `CheckReport::ok` never
-/// depends on the sink capacity. Producers stop *reporting* once the sink
-/// is full (the sink's documented contract) but the checker may keep
-/// *finding* in incremental mode to complete its caches.
+/// depends on the sink capacity. Phases stop producing once the sink is
+/// full (the sink's documented contract).
 struct Reporter {
   DiagnosticSink& sink;
   std::uint64_t found = 0;
@@ -92,11 +88,10 @@ struct FrameResult {
 };
 
 /// Phase 1: everything checkable without expanding points, reported in
-/// record order (boxes, then box overlaps, then segments, then vias). In
-/// non-thorough mode the scan stops once the sink is full, matching the
-/// classic producers-stop contract.
+/// record order (boxes, then box overlaps, then segments, then vias). The
+/// scan stops once the sink is full (the producers-stop contract).
 void frame_scan(const Graph& g, const LayoutGeometry& geom, Reporter& rep,
-                bool thorough, FrameResult& fr) {
+                FrameResult& fr) {
   fr.box_of.assign(g.num_nodes(), nullptr);
   fr.edge_frame_ok.assign(g.num_edges(), 1);
   fr.reg_boxes.clear();
@@ -106,7 +101,7 @@ void frame_scan(const Graph& g, const LayoutGeometry& geom, Reporter& rep,
          .detail = std::to_string(geom.boxes.size()) + " boxes for " +
                    std::to_string(g.num_nodes()) + " nodes"});
   for (std::size_t bi = 0; bi < geom.boxes.size(); ++bi) {
-    if (!thorough && rep.sink.full()) return;
+    if (rep.sink.full()) return;
     const NodeBox& b = geom.boxes[bi];
     if (b.node >= g.num_nodes()) {
       rep({.code = Code::kBoxUnknownNode,
@@ -185,7 +180,7 @@ void frame_scan(const Graph& g, const LayoutGeometry& geom, Reporter& rep,
     });
     for (std::size_t i = 0; i < hits.size(); ++i) {
       if (i > 0 && hits[i].later == hits[i - 1].later) continue;
-      if (!thorough && rep.sink.full()) return;
+      if (rep.sink.full()) return;
       const NodeBox& b = geom.boxes[hits[i].later];
       rep(at_point(hits[i].ox, hits[i].oy, b.layer,
                    {.code = Code::kBoxOverlap, .node = b.node}));
@@ -193,7 +188,7 @@ void frame_scan(const Graph& g, const LayoutGeometry& geom, Reporter& rep,
   }
 
   for (const WireSeg& s : geom.segs) {
-    if (!thorough && rep.sink.full()) return;
+    if (rep.sink.full()) return;
     if (s.edge >= g.num_edges()) {
       rep({.code = Code::kSegUnknownEdge,
            .has_point = true,
@@ -234,7 +229,7 @@ void frame_scan(const Graph& g, const LayoutGeometry& geom, Reporter& rep,
     if (!ok) fr.edge_frame_ok[s.edge] = 0;
   }
   for (const Via& v : geom.vias) {
-    if (!thorough && rep.sink.full()) return;
+    if (rep.sink.full()) return;
     if (v.edge >= g.num_edges()) {
       rep({.code = Code::kViaUnknownEdge,
            .has_point = true,
@@ -324,8 +319,6 @@ struct BandInput {
 struct BandResult {
   std::vector<Diagnostic> diags;
   std::uint64_t points = 0;
-  std::uint64_t examined = 0;
-  bool scanned = false;
 };
 
 /// Per-worker reusable scratch (never shared between concurrent bands).
@@ -370,7 +363,6 @@ void scan_band_dense(const BandContext& ctx, std::uint32_t band,
   };
   auto claim = [&](std::uint32_t x, std::uint32_t y, std::uint32_t z,
                    EdgeId e) {
-    ++out.examined;
     const std::size_t i = cell(x, y, z);
     std::uint32_t& o = sc.owner[i];
     if (o == 0) {
@@ -462,7 +454,6 @@ void scan_band_sorted(const BandContext& ctx, std::uint32_t band,
   sc.occ.clear();
   auto claim = [&](std::uint32_t x, std::uint32_t y, std::uint32_t z,
                    EdgeId e) {
-    ++out.examined;
     sc.occ.emplace_back(key3(x, y, z), e);
   };
   for (std::uint32_t si : in.segs) {
@@ -602,38 +593,15 @@ std::vector<Diagnostic> verify_edge(const Graph& g, EdgeId e,
 Checker::Checker(const Graph& g, const LayoutGeometry& geom, CheckOptions opt)
     : g_(g), geom_(geom), opt_(opt) {}
 
-void Checker::mark_dirty(const DirtyRegion& region) {
-  if (bands_.empty()) return;
-  const std::uint32_t lo = std::min(region.y1, region.y2);
-  const std::uint32_t hi = std::max(region.y1, region.y2);
-  const std::uint32_t b0 = std::min(lo / rows_per_band_, num_bands_ - 1);
-  const std::uint32_t b1 = std::min(hi / rows_per_band_, num_bands_ - 1);
-  for (std::uint32_t b = b0; b <= b1; ++b) bands_[b].dirty = true;
-}
-
-void Checker::mark_all_dirty() {
-  for (BandCache& b : bands_) b.dirty = true;
-}
-
-CheckReport Checker::check(DiagnosticSink& sink) { return run(sink, false); }
-
 CheckReport Checker::check() {
   DiagnosticSink sink(1);
-  return run(sink, false);
+  return check(sink);
 }
 
-CheckReport Checker::recheck(DiagnosticSink& sink) { return run(sink, true); }
-
-CheckReport Checker::recheck() {
-  DiagnosticSink sink(1);
-  return run(sink, true);
-}
-
-CheckReport Checker::run(DiagnosticSink& sink, bool incremental_pass) {
+CheckReport Checker::check(DiagnosticSink& sink) {
   obs::Span span("check");
   const auto t0 = std::chrono::steady_clock::now();
   CheckReport rep;
-  const bool thorough = opt_.incremental;
   Reporter reporter{sink};
   auto finalize = [&]() -> CheckReport& {
     rep.ok = reporter.found == 0;
@@ -641,9 +609,7 @@ CheckReport Checker::run(DiagnosticSink& sink, bool incremental_pass) {
     rep.wall_ms = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
-    obs::counter_add("check.bands.dirty", rep.bands_checked);
-    obs::counter_add("check.bands.clean", rep.bands_skipped);
-    obs::counter_add("check.points.examined", rep.points_examined);
+    obs::counter_add("check.bands", rep.bands);
     obs::gauge_set("grid.points", static_cast<double>(rep.points));
     obs::gauge_max("grid.peak_occupancy", static_cast<double>(rep.points));
     return rep;
@@ -652,268 +618,101 @@ CheckReport Checker::run(DiagnosticSink& sink, bool incremental_pass) {
   if (geom_.width > kCoordMax || geom_.height > kCoordMax ||
       geom_.num_layers > kCoordMax) {
     reporter({.code = Code::kCoordRange});
-    built_ = false;
     return finalize();
-  }
-
-  // (Re)establish the band layout. A recheck degrades to a full pass when
-  // no completed full pass backs the caches or the grid shape changed.
-  const std::uint32_t num_edges = g_.num_edges();
-  if (incremental_pass &&
-      (!built_ || built_width_ != geom_.width ||
-       built_height_ != geom_.height || built_layers_ != geom_.num_layers ||
-       edges_.size() != num_edges))
-    incremental_pass = false;
-  if (!incremental_pass) {
-    const std::uint32_t h = std::max<std::uint32_t>(geom_.height, 1);
-    std::uint32_t rows =
-        opt_.band_rows != 0
-            ? opt_.band_rows
-            : std::max<std::uint32_t>(1, (h + kTargetBands - 1) / kTargetBands);
-    const std::uint64_t slab = static_cast<std::uint64_t>(geom_.width) *
-                               std::max<std::uint32_t>(geom_.num_layers, 1);
-    if (opt_.band_rows == 0 && slab != 0 &&
-        static_cast<std::uint64_t>(rows) * slab > kDenseCellBudget) {
-      // More, thinner bands keep the dense slab within budget.
-      const std::uint64_t fit = kDenseCellBudget / slab;
-      if (fit >= 1)
-        rows = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(rows, fit));
-    }
-    rows_per_band_ = rows;
-    num_bands_ = (h + rows - 1) / rows;
-    dense_ = geom_.width != 0 &&
-             static_cast<std::uint64_t>(rows) * slab <= kDenseCellBudget;
-    built_width_ = geom_.width;
-    built_height_ = geom_.height;
-    built_layers_ = geom_.num_layers;
-    bands_.assign(num_bands_, BandCache{});
-    edges_.assign(num_edges, EdgeCache{});
-    built_ = false;
   }
 
   // Phase 1: frame scan.
   FrameResult fr;
-  frame_scan(g_, geom_, reporter, thorough, fr);
-  if (!thorough && sink.full()) {
-    built_ = false;
-    mark_all_dirty();
-    return finalize();
-  }
+  frame_scan(g_, geom_, reporter, fr);
+  if (sink.full()) return finalize();
 
+  // Band layout: ~kTargetBands bands, thinned further so one band's dense
+  // slab fits the cell budget. When one row's slab alone exceeds the budget
+  // (or the grid has no columns), every band takes the sorted path.
+  const std::uint32_t h = std::max<std::uint32_t>(geom_.height, 1);
+  const std::uint64_t slab = static_cast<std::uint64_t>(geom_.width) *
+                             std::max<std::uint32_t>(geom_.num_layers, 1);
+  const bool dense = slab != 0 && slab <= kDenseCellBudget;
+  std::uint32_t rows =
+      std::max<std::uint32_t>(1, (h + kTargetBands - 1) / kTargetBands);
+  if (dense)
+    rows = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(rows, kDenseCellBudget / slab));
+  const std::uint32_t num_bands = (h + rows - 1) / rows;
+  rep.bands = num_bands;
   auto band_of = [&](std::uint32_t y) {
-    return std::min(y / rows_per_band_, num_bands_ - 1);
+    return std::min(y / rows, num_bands - 1);
   };
 
-  // Frame validity gates whether an edge's records are binned at all, so an
-  // edge whose frame verdict flipped since the cached pass invalidates every
-  // band its records currently touch — the editor only marked the records it
-  // changed, but the exclusion applies to the whole edge.
-  if (incremental_pass) {
-    auto flipped = [&](EdgeId e) {
-      return e < num_edges &&
-             static_cast<bool>(fr.edge_frame_ok[e]) != edges_[e].frame_ok;
-    };
-    for (const WireSeg& s : geom_.segs)
-      if (flipped(s.edge))
-        for (std::uint32_t b = band_of(std::min(s.y1, s.y2));
-             b <= band_of(std::max(s.y1, s.y2)); ++b)
-          bands_[b].dirty = true;
-    for (const Via& v : geom_.vias)
-      if (flipped(v.edge)) bands_[band_of(v.y)].dirty = true;
-  }
-
-  // Phase 2: bin records into dirty bands, scan them, merge in band order.
-  std::vector<std::uint32_t> scan;
-  scan.reserve(num_bands_);
-  for (std::uint32_t b = 0; b < num_bands_; ++b)
-    if (bands_[b].dirty) scan.push_back(b);
-  rep.bands = num_bands_;
-  rep.bands_checked = static_cast<std::uint32_t>(scan.size());
-  rep.bands_skipped = num_bands_ - rep.bands_checked;
-
-  // Pre-pass dirty set, for edge staleness decisions below.
-  std::vector<std::uint32_t> dirty_prefix(num_bands_ + 1, 0);
-  for (std::uint32_t b = 0; b < num_bands_; ++b)
-    dirty_prefix[b + 1] = dirty_prefix[b] + (bands_[b].dirty ? 1 : 0);
-  auto any_dirty = [&](std::uint32_t lo, std::uint32_t hi) {
-    hi = std::min(hi, num_bands_ - 1);
-    lo = std::min(lo, hi);
-    return dirty_prefix[hi + 1] > dirty_prefix[lo];
-  };
-  struct EdgeSpan {
-    std::uint32_t lo = 0, hi = 0;
-    bool routed = false;
-  };
-  std::vector<EdgeSpan> spans(num_edges);
-  auto widen = [&](EdgeId e, std::uint32_t b0, std::uint32_t b1) {
-    EdgeSpan& sp = spans[e];
-    if (!sp.routed) {
-      sp.routed = true;
-      sp.lo = b0;
-      sp.hi = b1;
-    } else {
-      sp.lo = std::min(sp.lo, b0);
-      sp.hi = std::max(sp.hi, b1);
-    }
-  };
-  std::vector<BandInput> inputs(num_bands_);
+  // Phase 2: bin records into bands, scan them, merge in band order.
+  const std::uint32_t num_edges = g_.num_edges();
+  std::vector<BandInput> inputs(num_bands);
   for (std::size_t si = 0; si < geom_.segs.size(); ++si) {
     const WireSeg& s = geom_.segs[si];
     if (s.edge >= num_edges || !fr.edge_frame_ok[s.edge]) continue;
-    const std::uint32_t b0 = band_of(s.y1);
-    const std::uint32_t b1 = band_of(s.y2);
-    widen(s.edge, b0, b1);
-    for (std::uint32_t b = b0; b <= b1; ++b)
-      if (bands_[b].dirty)
-        inputs[b].segs.push_back(static_cast<std::uint32_t>(si));
+    for (std::uint32_t b = band_of(s.y1); b <= band_of(s.y2); ++b)
+      inputs[b].segs.push_back(static_cast<std::uint32_t>(si));
   }
   for (std::size_t vi = 0; vi < geom_.vias.size(); ++vi) {
     const Via& v = geom_.vias[vi];
     if (v.edge >= num_edges || !fr.edge_frame_ok[v.edge]) continue;
-    const std::uint32_t b = band_of(v.y);
-    widen(v.edge, b, b);
-    if (bands_[b].dirty)
-      inputs[b].vias.push_back(static_cast<std::uint32_t>(vi));
+    inputs[band_of(v.y)].vias.push_back(static_cast<std::uint32_t>(vi));
   }
   for (std::uint32_t bi : fr.reg_boxes) {
     const NodeBox& b = geom_.boxes[bi];
-    const std::uint32_t b0 = band_of(b.y);
-    const std::uint32_t b1 = band_of(b.y + b.h - 1);
-    for (std::uint32_t bb = b0; bb <= b1; ++bb)
-      if (bands_[bb].dirty) inputs[bb].boxes.push_back(bi);
+    for (std::uint32_t bb = band_of(b.y); bb <= band_of(b.y + b.h - 1); ++bb)
+      inputs[bb].boxes.push_back(bi);
   }
 
   const std::uint32_t nthreads = resolve_threads(opt_.threads);
-  std::vector<BandResult> results(scan.size());
-  if (!scan.empty()) {
-    const BandContext ctx{g_,
-                          geom_,
-                          opt_.via_rule,
-                          rows_per_band_,
-                          geom_.height,
-                          geom_.width,
-                          geom_.num_layers,
-                          std::max<std::size_t>(sink.capacity(), 1)};
-    std::vector<BandScratch> scratch(
-        std::max<std::size_t>(1, std::min<std::size_t>(nthreads, scan.size())));
-    parallel_for(nthreads, scan.size(), [&](std::size_t i, std::uint32_t w) {
-      if (!thorough && sink.full()) return;
-      results[i].scanned = true;
-      if (dense_)
-        scan_band_dense(ctx, scan[i], inputs[scan[i]], results[i], scratch[w]);
-      else
-        scan_band_sorted(ctx, scan[i], inputs[scan[i]], results[i],
-                         scratch[w]);
-    });
+  std::vector<BandResult> results(num_bands);
+  const BandContext ctx{g_,
+                        geom_,
+                        opt_.via_rule,
+                        rows,
+                        geom_.height,
+                        geom_.width,
+                        geom_.num_layers,
+                        std::max<std::size_t>(sink.capacity(), 1)};
+  std::vector<BandScratch> scratch(
+      std::max<std::uint32_t>(1, std::min(nthreads, num_bands)));
+  parallel_for(nthreads, num_bands, [&](std::size_t b, std::uint32_t w) {
+    const auto band = static_cast<std::uint32_t>(b);
+    if (dense)
+      scan_band_dense(ctx, band, inputs[b], results[b], scratch[w]);
+    else
+      scan_band_sorted(ctx, band, inputs[b], results[b], scratch[w]);
+  });
+  for (const BandResult& r : results) {
+    rep.points += r.points;
+    for (const Diagnostic& d : r.diags) reporter(d);
   }
-  bool incomplete = false;
-  for (std::size_t i = 0; i < scan.size(); ++i) {
-    if (!results[i].scanned) {
-      incomplete = true;  // producers-stop: band skipped on a full sink
-      continue;
-    }
-    BandCache& c = bands_[scan[i]];
-    c.diags = std::move(results[i].diags);
-    c.points = results[i].points;
-    c.dirty = false;
-    rep.points_examined += results[i].examined;
-  }
-  for (std::uint32_t b = 0; b < num_bands_; ++b) {
-    if (bands_[b].dirty) continue;  // skipped this pass, nothing cached
-    rep.points += bands_[b].points;
-    for (const Diagnostic& d : bands_[b].diags) reporter(d);
-  }
+  if (sink.full()) return finalize();
 
-  // Phase 3: connectivity, only for edges whose state could have changed.
-  const bool skip_conn = !thorough && sink.full();
-  std::vector<char> to_check(num_edges, 0);
+  // Phase 3: connectivity of every edge whose frame is sound (frame
+  // violations were already reported and carry no connectivity verdict).
   std::vector<std::uint32_t> check_list;
-  for (EdgeId e = 0; e < num_edges; ++e) {
-    EdgeCache& c = edges_[e];
-    if (!fr.edge_frame_ok[e]) {
-      // Frame violations were already reported; no connectivity verdict.
-      c.diags.clear();
-      c.frame_ok = false;
-      c.routed = spans[e].routed;
-      continue;
-    }
-    bool stale = !incremental_pass || !c.frame_ok ||
-                 c.routed != spans[e].routed;
-    if (!stale && spans[e].routed &&
-        (c.band_lo != spans[e].lo || c.band_hi != spans[e].hi))
-      stale = true;
-    if (!stale && spans[e].routed && any_dirty(spans[e].lo, spans[e].hi))
-      stale = true;
-    if (stale && !skip_conn) {
-      to_check[e] = 1;
-      check_list.push_back(e);
-    } else if (stale) {
-      incomplete = true;
-    }
-  }
-  rep.edges_checked = static_cast<std::uint32_t>(check_list.size());
-  if (!check_list.empty()) {
-    std::vector<std::vector<std::uint64_t>> pts(num_edges);
-    for (const WireSeg& s : geom_.segs) {
-      if (s.edge >= num_edges || !to_check[s.edge]) continue;
-      for (std::uint32_t yy = s.y1; yy <= s.y2; ++yy)
-        for (std::uint32_t xx = s.x1; xx <= s.x2; ++xx)
-          pts[s.edge].push_back(key3(xx, yy, s.layer));
-    }
-    for (const Via& v : geom_.vias) {  // full column: vias always connect
-      if (v.edge >= num_edges || !to_check[v.edge]) continue;
-      for (std::uint32_t zz = v.z1; zz <= v.z2; ++zz)
-        pts[v.edge].push_back(key3(v.x, v.y, zz));
-    }
-    for (EdgeId e : check_list) rep.points_examined += pts[e].size();
-
-    std::vector<std::vector<Diagnostic>> conn(check_list.size());
-    std::atomic<bool> conn_skipped{false};
-    parallel_for(nthreads, check_list.size(),
-                 [&](std::size_t i, std::uint32_t) {
-                   if (!thorough && sink.full()) {
-                     conn_skipped.store(true, std::memory_order_relaxed);
-                     return;
-                   }
-                   conn[i] = verify_edge(g_, check_list[i], pts[check_list[i]],
-                                         fr.box_of);
-                 });
-    if (conn_skipped.load(std::memory_order_relaxed)) incomplete = true;
-    for (std::size_t i = 0; i < check_list.size(); ++i) {
-      EdgeCache& c = edges_[check_list[i]];
-      c.diags = std::move(conn[i]);
-      c.frame_ok = true;
-      c.routed = spans[check_list[i]].routed;
-      c.band_lo = spans[check_list[i]].lo;
-      c.band_hi = spans[check_list[i]].hi;
-    }
-  }
   for (EdgeId e = 0; e < num_edges; ++e)
-    for (const Diagnostic& d : edges_[e].diags) reporter(d);
-
-  built_ = opt_.incremental && !incomplete;
-  if (incomplete) mark_all_dirty();
+    if (fr.edge_frame_ok[e]) check_list.push_back(e);
+  std::vector<std::vector<std::uint64_t>> pts(num_edges);
+  for (const WireSeg& s : geom_.segs) {
+    if (s.edge >= num_edges || !fr.edge_frame_ok[s.edge]) continue;
+    for (std::uint32_t yy = s.y1; yy <= s.y2; ++yy)
+      for (std::uint32_t xx = s.x1; xx <= s.x2; ++xx)
+        pts[s.edge].push_back(key3(xx, yy, s.layer));
+  }
+  for (const Via& v : geom_.vias) {  // full column: vias always connect
+    if (v.edge >= num_edges || !fr.edge_frame_ok[v.edge]) continue;
+    for (std::uint32_t zz = v.z1; zz <= v.z2; ++zz)
+      pts[v.edge].push_back(key3(v.x, v.y, zz));
+  }
+  std::vector<std::vector<Diagnostic>> conn(check_list.size());
+  parallel_for(nthreads, check_list.size(), [&](std::size_t i, std::uint32_t) {
+    conn[i] = verify_edge(g_, check_list[i], pts[check_list[i]], fr.box_of);
+  });
+  for (const std::vector<Diagnostic>& ds : conn)
+    for (const Diagnostic& d : ds) reporter(d);
   return finalize();
-}
-
-// ---- Legacy free-function API ---------------------------------------------
-
-std::uint64_t check_layout_all(const Graph& g, const LayoutGeometry& geom,
-                               ViaRule rule, DiagnosticSink& sink) {
-  Checker checker(g, geom, {.via_rule = rule});
-  return checker.check(sink).points;
-}
-
-CheckResult check_layout(const Graph& g, const LayoutGeometry& geom,
-                         ViaRule rule) {
-  Checker checker(g, geom, {.via_rule = rule});
-  CheckReport r = checker.check();
-  return CheckResult{r.ok, std::move(r.error), r.points};
-}
-
-CheckResult check_layout(const Graph& g, const MultilayerLayout& ml) {
-  return check_layout(g, ml.geom, ml.required_rule);
 }
 
 }  // namespace mlvl

@@ -60,15 +60,19 @@ bool parse_point(const io::JsonValue& v, BenchPoint& p) {
   p.family = f->str;
   p.L = static_cast<std::uint32_t>(num_or(v, "L", 0));
   p.nodes = static_cast<std::uint64_t>(num_or(v, "nodes", 0));
-  const double wall = num_or(v, "wall_ms", 0);
-  p.wall.median = wall;
-  // v1 files carry only wall_ms; synthesize degenerate single-sample stats
-  // so the comparator has one uniform shape.
-  p.wall.min = num_or(v, "wall_min_ms", wall);
-  p.wall.max = num_or(v, "wall_max_ms", wall);
-  p.wall.p95 = num_or(v, "wall_p95_ms", wall);
-  p.wall.stddev = num_or(v, "wall_stddev_ms", 0);
-  p.wall.repeats = static_cast<std::uint32_t>(num_or(v, "repeats", 1));
+  // Every mlvl-bench-v2 record carries the full wall statistics.
+  auto stat = [&v](const char* name, double& out) {
+    const io::JsonValue* n = v.find(name);
+    if (n == nullptr || n->kind != io::JsonValue::Kind::kNumber) return false;
+    out = n->number;
+    return true;
+  };
+  double repeats = 0;
+  if (!stat("wall_ms", p.wall.median) || !stat("wall_min_ms", p.wall.min) ||
+      !stat("wall_max_ms", p.wall.max) || !stat("wall_p95_ms", p.wall.p95) ||
+      !stat("wall_stddev_ms", p.wall.stddev) || !stat("repeats", repeats))
+    return false;
+  p.wall.repeats = static_cast<std::uint32_t>(repeats);
   for (const char* m : {"area", "wiring_area", "volume", "max_wire", "vias"})
     p.metrics[m] = num_or(v, m, 0);
   return true;

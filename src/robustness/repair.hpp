@@ -9,12 +9,8 @@
 // grid with a maze router, then re-verifies. Violations of the layout frame
 // itself (overlapping or out-of-bounds node boxes, bad dimensions) cannot be
 // repaired by re-routing and are reported honestly as unrepairable, as are
-// edges for which no free path exists.
-//
-// Re-verification is incremental: one `Checker` is kept across passes, every
-// record the repair deletes or routes marks its y-extent dirty, and each
-// pass after the first re-scans only the dirty bands (DESIGN.md §7.13) —
-// repair cost tracks the damage, not the layout size.
+// edges for which no free path exists. Every verification is a full check
+// of the current geometry by a fresh `Checker`.
 #pragma once
 
 #include <cstdint>

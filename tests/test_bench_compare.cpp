@@ -316,24 +316,16 @@ TEST(BenchDiff, MalformedInputsAreRejectedWithReason) {
   err.clear();
   EXPECT_FALSE(load_bench_file(bad_record.path(), &err).has_value());
   EXPECT_NE(err.find("malformed"), std::string::npos);
-}
 
-TEST(BenchDiff, V1RecordsLoadWithDegenerateStats) {
-  TempFile v1("v1.json",
+  // A v1 record carries only wall_ms, not the v2 wall statistics.
+  TempFile v1("bad4.json",
               R"({"schema": "mlvl-bench-v1", "records": [
                    {"family": "hypercube", "L": 4, "nodes": 64,
                     "wall_ms": 12.5, "area": 100, "wiring_area": 50,
                     "volume": 200, "max_wire": 8, "vias": 16}]})");
-  auto f = load_bench_file(v1.path(), nullptr);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_FALSE(f->has_env);
-  const BenchPoint& p = f->points.at("hypercube/L=4/N=64");
-  EXPECT_DOUBLE_EQ(p.wall.median, 12.5);
-  EXPECT_DOUBLE_EQ(p.wall.min, 12.5);
-  EXPECT_DOUBLE_EQ(p.wall.p95, 12.5);
-  EXPECT_DOUBLE_EQ(p.wall.stddev, 0);
-  EXPECT_EQ(p.wall.repeats, 1u);
-  EXPECT_DOUBLE_EQ(p.metrics.at("area"), 100);
+  err.clear();
+  EXPECT_FALSE(load_bench_file(v1.path(), &err).has_value());
+  EXPECT_NE(err.find("malformed"), std::string::npos);
 }
 
 TEST(BenchDiff, JsonReportRoundTrips) {

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 
 namespace mlvl {
 namespace {
@@ -28,7 +27,7 @@ struct Fixture {
 
 TEST(Checker, AcceptsMinimalLayout) {
   Fixture f;
-  CheckResult res = check_layout(f.g, f.geom);
+  CheckReport res = Checker(f.g, f.geom).check();
   EXPECT_TRUE(res.ok) << res.error;
   EXPECT_GT(res.points, 0u);
 }
@@ -36,13 +35,13 @@ TEST(Checker, AcceptsMinimalLayout) {
 TEST(Checker, RejectsUnroutedEdge) {
   Fixture f;
   f.geom.segs.clear();
-  EXPECT_FALSE(check_layout(f.g, f.geom).ok);
+  EXPECT_FALSE(Checker(f.g, f.geom).check().ok);
 }
 
 TEST(Checker, RejectsDisconnectedWire) {
   Fixture f;
   f.geom.segs = {{1, 1, 3, 1, 1, 0}, {6, 1, 9, 1, 1, 0}};  // gap at x=4..5
-  CheckResult res = check_layout(f.g, f.geom);
+  CheckReport res = Checker(f.g, f.geom).check();
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("disconnected"), std::string::npos);
 }
@@ -50,7 +49,7 @@ TEST(Checker, RejectsDisconnectedWire) {
 TEST(Checker, RejectsWireMissingTerminal) {
   Fixture f;
   f.geom.segs = {{1, 1, 7, 1, 1, 0}};  // stops short of node 1's box
-  CheckResult res = check_layout(f.g, f.geom);
+  CheckReport res = Checker(f.g, f.geom).check();
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("terminals"), std::string::npos);
 }
@@ -65,7 +64,7 @@ TEST(Checker, RejectsOverlappingWires) {
   geom.height = 6;
   geom.boxes = {{0, 1, 2, 2, 0}, {9, 1, 2, 2, 1}, {9, 4, 2, 2, 2}};
   geom.segs = {{1, 1, 9, 1, 1, 0}, {1, 1, 9, 1, 1, 1}};  // same track!
-  CheckResult res = check_layout(g, geom);
+  CheckReport res = Checker(g, geom).check();
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("collision"), std::string::npos);
 }
@@ -84,7 +83,7 @@ TEST(Checker, DifferentLayersMayCross) {
   geom.segs = {{1, 6, 11, 6, 1, 0},   // horizontal, layer 1
                {6, 1, 6, 12, 2, 1}};  // vertical, layer 2, crosses at (6,6)
   geom.vias = {{6, 1, 1, 2, 1}, {6, 12, 1, 2, 1}};  // terminals for edge 1
-  CheckResult res = check_layout(g, geom);
+  CheckReport res = Checker(g, geom).check();
   EXPECT_TRUE(res.ok) << res.error;
 }
 
@@ -100,7 +99,7 @@ TEST(Checker, BlockingViaConflictsWithCrossingWire) {
   geom.boxes = {{0, 5, 2, 2, 0}, {11, 5, 2, 2, 1}, {5, 0, 2, 2, 2}, {5, 11, 2, 2, 3}};
   geom.segs = {{1, 6, 11, 6, 1, 0}, {6, 1, 6, 12, 2, 1}};
   geom.vias = {{6, 6, 1, 2, 1}};  // knock-knee style via at the crossing
-  EXPECT_FALSE(check_layout(g, geom, ViaRule::kBlocking).ok);
+  EXPECT_FALSE(Checker(g, geom, {.via_rule = ViaRule::kBlocking}).check().ok);
 }
 
 TEST(Checker, TransparentViaSkipsInteriorLayers) {
@@ -124,8 +123,9 @@ TEST(Checker, TransparentViaSkipsInteriorLayers) {
                {11, 6, 1, 3, 0},   // edge 0 terminal at node 1
                {2, 1, 1, 2, 1},    // edge 1 terminals
                {2, 12, 1, 2, 1}};
-  EXPECT_FALSE(check_layout(g, geom, ViaRule::kBlocking).ok);
-  CheckResult res = check_layout(g, geom, ViaRule::kTransparent);
+  EXPECT_FALSE(Checker(g, geom, {.via_rule = ViaRule::kBlocking}).check().ok);
+  CheckReport res =
+      Checker(g, geom, {.via_rule = ViaRule::kTransparent}).check();
   EXPECT_TRUE(res.ok) << res.error;
 }
 
@@ -140,7 +140,7 @@ TEST(Checker, RejectsWireThroughForeignBox) {
   geom.boxes = {{0, 1, 2, 2, 0}, {9, 1, 2, 2, 1}, {5, 0, 2, 3, 2}};
   geom.segs = {{1, 1, 9, 1, 1, 0},   // edge 0 runs straight through box 2
                {1, 2, 5, 2, 1, 1}};  // edge (0,2) may touch box 2
-  CheckResult res = check_layout(g, geom);
+  CheckReport res = Checker(g, geom).check();
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("enters box"), std::string::npos);
 }
@@ -148,32 +148,32 @@ TEST(Checker, RejectsWireThroughForeignBox) {
 TEST(Checker, RejectsOutOfBounds) {
   Fixture f;
   f.geom.segs.push_back({0, 0, 20, 0, 1, 0});
-  EXPECT_FALSE(check_layout(f.g, f.geom).ok);
+  EXPECT_FALSE(Checker(f.g, f.geom).check().ok);
 }
 
 TEST(Checker, RejectsBadLayer) {
   Fixture f;
   f.geom.segs[0].layer = 5;
-  EXPECT_FALSE(check_layout(f.g, f.geom).ok);
+  EXPECT_FALSE(Checker(f.g, f.geom).check().ok);
 }
 
 TEST(Checker, RejectsOverlappingBoxes) {
   Fixture f;
   f.geom.boxes[1] = {1, 1, 2, 2, 1};
-  EXPECT_FALSE(check_layout(f.g, f.geom).ok);
+  EXPECT_FALSE(Checker(f.g, f.geom).check().ok);
 }
 
 TEST(Checker, RejectsMissingBox) {
   Fixture f;
   f.geom.boxes.pop_back();
-  EXPECT_FALSE(check_layout(f.g, f.geom).ok);
+  EXPECT_FALSE(Checker(f.g, f.geom).check().ok);
 }
 
 // ---- The redesigned Checker API -------------------------------------------
 
-/// K disjoint edge groups stacked vertically, one per 3-row stripe: with
-/// band_rows = 3 each group is exactly one y-band, so incremental claims can
-/// be asserted band by band.
+/// K disjoint edge groups stacked vertically, one per 3-row stripe: 96 rows,
+/// which auto band sizing splits into 48 two-row bands, so every pass merges
+/// results from many bands.
 struct Tall {
   static constexpr std::uint32_t kGroups = 32;
   Graph g{2 * kGroups};
@@ -201,20 +201,14 @@ std::vector<std::string> rendered(const DiagnosticSink& sink) {
 
 TEST(CheckerApi, FullCheckReportsBandAccounting) {
   Tall t;
-  Checker checker(t.g, t.geom, {.band_rows = 3});
+  Checker checker(t.g, t.geom);
   DiagnosticSink sink(256);
   CheckReport rep = checker.check(sink);
   EXPECT_TRUE(rep.ok) << rep.error;
   EXPECT_TRUE(static_cast<bool>(rep));
   EXPECT_TRUE(sink.empty());
-  EXPECT_EQ(checker.num_bands(), Tall::kGroups);
-  EXPECT_EQ(checker.rows_per_band(), 3u);
-  EXPECT_EQ(rep.bands, Tall::kGroups);
-  EXPECT_EQ(rep.bands_checked, Tall::kGroups);
-  EXPECT_EQ(rep.bands_skipped, 0u);
-  EXPECT_EQ(rep.edges_checked, Tall::kGroups);
+  EXPECT_EQ(rep.bands, 48u);  // 96 rows / 64 target bands -> 2 rows each
   EXPECT_EQ(rep.points, 9u * Tall::kGroups);  // each wire claims 9 points
-  EXPECT_GE(rep.points_examined, rep.points);
 }
 
 TEST(CheckerApi, ParallelMatchesSerialByteForByte) {
@@ -233,123 +227,11 @@ TEST(CheckerApi, ParallelMatchesSerialByteForByte) {
   CheckReport parallel_rep = parallel.check(parallel_sink);
 
   EXPECT_FALSE(serial_rep.ok);
+  EXPECT_GT(serial_rep.bands, 1u);
   EXPECT_EQ(serial_rep.ok, parallel_rep.ok);
   EXPECT_EQ(serial_rep.error, parallel_rep.error);
   EXPECT_EQ(serial_rep.points, parallel_rep.points);
   EXPECT_EQ(rendered(serial_sink), rendered(parallel_sink));
-}
-
-TEST(CheckerApi, RecheckServesCleanBandsFromCache) {
-  Tall t;
-  Checker checker(t.g, t.geom, {.incremental = true, .band_rows = 3});
-  CheckReport full = checker.check();
-  ASSERT_TRUE(full.ok) << full.error;
-
-  // Nothing dirty: every band and every edge comes from the cache.
-  CheckReport clean = checker.recheck();
-  EXPECT_TRUE(clean.ok) << clean.error;
-  EXPECT_EQ(clean.points, full.points);
-  EXPECT_EQ(clean.bands_checked, 0u);
-  EXPECT_EQ(clean.bands_skipped, Tall::kGroups);
-  EXPECT_EQ(clean.edges_checked, 0u);
-  EXPECT_EQ(clean.points_examined, 0u);
-}
-
-TEST(CheckerApi, RecheckSeesNewViolationInDirtyBand) {
-  Tall t;
-  Checker checker(t.g, t.geom, {.incremental = true, .band_rows = 3});
-  ASSERT_TRUE(checker.check().ok);
-
-  // Edge 6 grows a stub that steals a point from edge 5's wire.
-  const std::uint32_t y = 3 * 5;
-  t.geom.segs.push_back({4, y, 4, y + 3, 1, 6});
-  checker.mark_dirty({y, y + 3});
-
-  DiagnosticSink sink(256);
-  CheckReport rep = checker.recheck(sink);
-  EXPECT_FALSE(rep.ok);
-  EXPECT_TRUE(sink.has(Code::kPointCollision)) << sink.summary();
-  EXPECT_LT(rep.bands_checked, rep.bands);
-
-  // The incremental verdict and diagnostics match a from-scratch full check.
-  DiagnosticSink fresh_sink(256);
-  Checker fresh(t.g, t.geom);
-  CheckReport fresh_rep = fresh.check(fresh_sink);
-  EXPECT_EQ(rep.ok, fresh_rep.ok);
-  EXPECT_EQ(rep.error, fresh_rep.error);
-  EXPECT_EQ(rep.points, fresh_rep.points);
-  EXPECT_EQ(rendered(sink), rendered(fresh_sink));
-}
-
-TEST(CheckerApi, RecheckDegradesToFullWithoutPriorPass) {
-  Tall t;
-  Checker checker(t.g, t.geom, {.incremental = true, .band_rows = 3});
-  CheckReport rep = checker.recheck();  // no check() before it
-  EXPECT_TRUE(rep.ok) << rep.error;
-  EXPECT_EQ(rep.bands_checked, Tall::kGroups);
-  EXPECT_EQ(rep.bands_skipped, 0u);
-}
-
-TEST(CheckerApi, NonIncrementalRecheckIsAFullPass) {
-  Tall t;
-  Checker checker(t.g, t.geom, {.band_rows = 3});
-  ASSERT_TRUE(checker.check().ok);
-  CheckReport rep = checker.recheck();
-  EXPECT_EQ(rep.bands_checked, Tall::kGroups);
-  EXPECT_EQ(rep.bands_skipped, 0u);
-}
-
-TEST(CheckerApi, SingleDirtyBandExaminesUnderTenPercentOfPoints) {
-  obs::MetricsRegistry reg;
-  reg.install();
-  Tall t;
-  Checker checker(t.g, t.geom, {.incremental = true, .band_rows = 3});
-  CheckReport full = checker.check();
-  ASSERT_TRUE(full.ok) << full.error;
-  const std::uint64_t full_dirty = reg.counter("check.bands.dirty");
-  EXPECT_EQ(full_dirty, Tall::kGroups);
-  EXPECT_EQ(reg.gauge("grid.points").value_or(-1),
-            static_cast<double>(full.points));
-
-  // Repair-style edit confined to one stripe: re-route edge 7 one row down.
-  const std::uint32_t y = 3 * 7;
-  t.geom.segs[7] = {1, y + 1, 9, y + 1, 1, 7};
-  checker.mark_dirty({y, y + 1});
-
-  CheckReport rep = checker.recheck();
-  obs::MetricsRegistry::uninstall();
-  EXPECT_TRUE(rep.ok) << rep.error;
-  EXPECT_EQ(rep.points, full.points);
-  EXPECT_EQ(rep.bands_checked, 1u);
-  EXPECT_EQ(rep.bands_skipped, Tall::kGroups - 1);
-  // The incremental claim, in numbers: under 10% of the occupied points were
-  // re-examined, and the metrics agree with the report.
-  EXPECT_LT(rep.points_examined, full.points / 10);
-  EXPECT_EQ(reg.counter("check.bands.dirty"), full_dirty + 1);
-  EXPECT_EQ(reg.counter("check.bands.clean"), Tall::kGroups - 1);
-  EXPECT_EQ(reg.counter("check.points.examined"),
-            full.points_examined + rep.points_examined);
-  EXPECT_EQ(reg.gauge("grid.points").value_or(-1),
-            static_cast<double>(rep.points));
-}
-
-TEST(CheckerApi, LegacyWrappersMatchCheckerOutput) {
-  Tall t;
-  t.geom.segs.push_back({1, 9, 9, 9, 1, 4});  // edge 4 invades group 3's row
-
-  DiagnosticSink new_sink(4096);
-  Checker checker(t.g, t.geom);
-  CheckReport rep = checker.check(new_sink);
-
-  DiagnosticSink legacy_sink(4096);
-  const std::uint64_t legacy_points =
-      check_layout_all(t.g, t.geom, ViaRule::kBlocking, legacy_sink);
-  CheckResult legacy = check_layout(t.g, t.geom);
-
-  EXPECT_EQ(rep.points, legacy_points);
-  EXPECT_EQ(rep.ok, legacy.ok);
-  EXPECT_EQ(rep.error, legacy.error);
-  EXPECT_EQ(rendered(new_sink), rendered(legacy_sink));
 }
 
 TEST(CheckerApi, FirstFailureConvenienceCarriesError) {

@@ -49,6 +49,12 @@ std::vector<Case>& fixtures() {
 
 constexpr std::uint64_t kSeeds[] = {1, 2, 3, 17, 40, 99};
 
+std::vector<std::string> rendered(const DiagnosticSink& sink) {
+  std::vector<std::string> out;
+  for (const Diagnostic& d : sink.diagnostics()) out.push_back(d.to_string());
+  return out;
+}
+
 TEST(FaultMatrix, CatalogIsTotal) {
   EXPECT_GE(robustness::all_faults().size(), 10u);
   for (FaultKind k : robustness::all_faults()) {
@@ -80,9 +86,22 @@ TEST(FaultMatrix, EveryGeometryOperatorTriggersItsDeclaredCode) {
             << robustness::fault_name(k) << " on " << c.name << " seed "
             << seed << " (" << fault->note << "): got " << sink.summary();
         EXPECT_FALSE(rep.ok) << robustness::fault_name(k);
-        // The legacy first-failure wrapper must reject the layout too.
-        EXPECT_FALSE(check_layout(c.o.graph, geom, c.ml.required_rule).ok)
-            << robustness::fault_name(k);
+        // The first-failure convenience must reject the layout too.
+        EXPECT_FALSE(checker.check().ok) << robustness::fault_name(k);
+
+        // Eight band workers must reproduce the serial pass exactly.
+        DiagnosticSink par_sink(4096);
+        CheckReport par = Checker(c.o.graph, geom,
+                                  {.via_rule = c.ml.required_rule,
+                                   .threads = 8})
+                              .check(par_sink);
+        const std::string ctx = std::string(robustness::fault_name(k)) +
+                                " on " + c.name + " seed " +
+                                std::to_string(seed) + " threads 8";
+        EXPECT_EQ(par.ok, rep.ok) << ctx;
+        EXPECT_EQ(par.error, rep.error) << ctx;
+        EXPECT_EQ(par.points, rep.points) << ctx;
+        EXPECT_EQ(rendered(par_sink), rendered(sink)) << ctx;
       }
     }
     EXPECT_TRUE(applied)
@@ -184,7 +203,7 @@ TEST(FaultMatrix, InapplicableInjectionLeavesGeometryUntouched) {
   geom.height = 1;
   geom.boxes = {{0, 0, 1, 1, 0, 1}, {2, 0, 1, 1, 1, 1}};
   geom.segs = {{0, 0, 2, 0, 1, 0}};
-  ASSERT_TRUE(check_layout(g, geom).ok);
+  ASSERT_TRUE(Checker(g, geom).check().ok);
 
   auto snapshot = [&] {
     std::ostringstream os;

@@ -15,9 +15,13 @@ namespace {
 struct Fixture {
   Orthogonal2Layer o;
   MultilayerLayout ml;
+  Checker checker;  ///< verifies `ml.geom` as the test has mutated it
 
-  Fixture() : o(layout::layout_ghc(4, 2)), ml(realize(o, {.L = 4})) {
-    CheckResult res = check_layout(o.graph, ml);
+  Fixture()
+      : o(layout::layout_ghc(4, 2)),
+        ml(realize(o, {.L = 4})),
+        checker(o.graph, ml.geom, {.via_rule = ml.required_rule}) {
+    CheckReport res = checker.check();
     EXPECT_TRUE(res.ok) << res.error;
   }
 };
@@ -25,7 +29,7 @@ struct Fixture {
 TEST(Mutation, DropASegmentDisconnects) {
   Fixture f;
   f.ml.geom.segs.erase(f.ml.geom.segs.begin() + f.ml.geom.segs.size() / 2);
-  EXPECT_FALSE(check_layout(f.o.graph, f.ml).ok);
+  EXPECT_FALSE(f.checker.check().ok);
 }
 
 TEST(Mutation, DropAViaDisconnects) {
@@ -36,7 +40,7 @@ TEST(Mutation, DropAViaDisconnects) {
   while (it != f.ml.geom.vias.end() && it->z2 - it->z1 < 2) ++it;
   ASSERT_NE(it, f.ml.geom.vias.end());
   f.ml.geom.vias.erase(it);
-  EXPECT_FALSE(check_layout(f.o.graph, f.ml).ok);
+  EXPECT_FALSE(f.checker.check().ok);
 }
 
 TEST(Mutation, RelabelSegmentEdgeCollides) {
@@ -45,7 +49,7 @@ TEST(Mutation, RelabelSegmentEdgeCollides) {
   Fixture f;
   WireSeg& s = f.ml.geom.segs.front();
   s.edge = (s.edge + 1) % f.o.graph.num_edges();
-  EXPECT_FALSE(check_layout(f.o.graph, f.ml).ok);
+  EXPECT_FALSE(f.checker.check().ok);
 }
 
 TEST(Mutation, ShiftTrackByOneRow) {
@@ -59,7 +63,7 @@ TEST(Mutation, ShiftTrackByOneRow) {
       break;
     }
   }
-  EXPECT_FALSE(check_layout(f.o.graph, f.ml).ok);
+  EXPECT_FALSE(f.checker.check().ok);
 }
 
 TEST(Mutation, WrongLayerBreaksConnectivity) {
@@ -70,20 +74,20 @@ TEST(Mutation, WrongLayerBreaksConnectivity) {
       break;
     }
   }
-  EXPECT_FALSE(check_layout(f.o.graph, f.ml).ok);
+  EXPECT_FALSE(f.checker.check().ok);
 }
 
 TEST(Mutation, StealTerminalBox) {
   // Swapping two node boxes makes wires end at the wrong processors.
   Fixture f;
   std::swap(f.ml.geom.boxes[0].node, f.ml.geom.boxes[1].node);
-  EXPECT_FALSE(check_layout(f.o.graph, f.ml).ok);
+  EXPECT_FALSE(f.checker.check().ok);
 }
 
 TEST(Mutation, ShrinkBoundingBoxRejected) {
   Fixture f;
   f.ml.geom.width /= 2;
-  EXPECT_FALSE(check_layout(f.o.graph, f.ml).ok);
+  EXPECT_FALSE(f.checker.check().ok);
 }
 
 TEST(Mutation, ViaSpanTruncated) {
@@ -98,7 +102,7 @@ TEST(Mutation, ViaSpanTruncated) {
     }
   }
   ASSERT_TRUE(mutated);
-  EXPECT_FALSE(check_layout(f.o.graph, f.ml).ok);
+  EXPECT_FALSE(f.checker.check().ok);
 }
 
 TEST(Mutation, SweepManySingleSegmentDeletions) {
@@ -113,7 +117,10 @@ TEST(Mutation, SweepManySingleSegmentDeletions) {
     MultilayerLayout copy = f.ml;
     copy.geom.segs.erase(copy.geom.segs.begin() + i);
     ++total;
-    if (!check_layout(f.o.graph, copy).ok) ++caught;
+    if (!Checker(f.o.graph, copy.geom, {.via_rule = copy.required_rule})
+             .check()
+             .ok)
+      ++caught;
   }
   EXPECT_GE(caught * 10, total * 7) << caught << "/" << total;
   // Deleting any LONG segment (a real track run) must always be caught.
@@ -121,7 +128,11 @@ TEST(Mutation, SweepManySingleSegmentDeletions) {
     if (f.ml.geom.segs[i].length() < 5) continue;
     MultilayerLayout copy = f.ml;
     copy.geom.segs.erase(copy.geom.segs.begin() + i);
-    EXPECT_FALSE(check_layout(f.o.graph, copy).ok) << "long segment " << i;
+    EXPECT_FALSE(
+        Checker(f.o.graph, copy.geom, {.via_rule = copy.required_rule})
+            .check()
+            .ok)
+        << "long segment " << i;
     i += 7;  // sample
   }
 }

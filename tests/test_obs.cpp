@@ -342,7 +342,8 @@ TEST(Obs, PipelineEmitsEveryPhaseSpanAndExactGauges) {
 
   Orthogonal2Layer o = layout::layout_hypercube(4);
   MultilayerLayout ml = realize(o, {.L = 4});
-  CheckResult res = check_layout(o.graph, ml);
+  CheckReport res =
+      Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
   ASSERT_TRUE(res.ok) << res.error;
 
   LayoutMetrics m2 = compute_metrics(realize(o, {.L = 2}), o.graph);

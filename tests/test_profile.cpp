@@ -213,7 +213,8 @@ TEST(Profile, PipelineSelfTimesSumToAtMostWall) {
   {
     Orthogonal2Layer o = layout::layout_hypercube(3);
     MultilayerLayout ml = realize(o, {.L = 4});
-    CheckResult res = check_layout(o.graph, ml);
+    CheckReport res =
+        Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
     ASSERT_TRUE(res.ok) << res.error;
   }
   obs::TraceSession::uninstall();
