@@ -1,13 +1,16 @@
 // Experiment C-perf — the band-sharded occupancy checker: full-pass
 // throughput, serial and parallel. Each fixture also lands in the
 // consolidated baseline so bench-diff gates the check phase like any other
-// phase.
+// phase, and a paper-scale fixture (hypercube(12) at L = 2, the Thompson
+// model) adds baseline rows for the full check and for lint, whose
+// knock-knee rule runs only at L = 2.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <stdexcept>
 #include <vector>
 
+#include "analysis/lint.hpp"
 #include "bench_util.hpp"
 #include "core/checker.hpp"
 #include "layout/hypercube_layout.hpp"
@@ -35,6 +38,15 @@ CheckFixture& kary_fixture() {
   static CheckFixture f = [] {
     CheckFixture fx{layout::layout_kary(4, 4), {}};
     fx.ml = realize(fx.o, {.L = 64});
+    return fx;
+  }();
+  return f;
+}
+
+CheckFixture& paper_scale_fixture() {
+  static CheckFixture f = [] {
+    CheckFixture fx{layout::layout_hypercube(12), {}};
+    fx.ml = realize(fx.o, {.L = 2});
     return fx;
   }();
   return f;
@@ -102,12 +114,48 @@ void record_baseline_row(const char* family, CheckFixture& f) {
   bench::BenchRecorder::instance().add(full);
 }
 
+/// Baseline row: wall statistics of lint_layout with every rule enabled.
+/// The cost columns carry the layout's dimensions plus, as wiring_area, the
+/// record count lint scans; a finding fails the run (the layout is clean).
+void record_lint_row(const char* family, CheckFixture& f) {
+  const bench::BenchConfig& cfg = bench::config();
+  const LayoutGeometry& geom = f.ml.geom;
+  analysis::LintConfig lint_cfg;
+  lint_cfg.via_rule = f.ml.required_rule;
+
+  bench::BenchRecord row;
+  row.family = std::string(family) + "-lint";
+  row.L = geom.num_layers;
+  row.nodes = f.o.graph.num_nodes();
+  std::vector<double> samples;
+  for (std::uint32_t i = 0; i < cfg.warmup + cfg.repeats; ++i) {
+    DiagnosticSink sink(16);
+    const auto t0 = std::chrono::steady_clock::now();
+    const analysis::LintStats stats =
+        analysis::lint_layout(f.o.graph, geom, lint_cfg, sink);
+    const auto t1 = std::chrono::steady_clock::now();
+    if (!stats.clean())
+      throw std::runtime_error("bench_check: lint findings: " + sink.summary());
+    if (i >= cfg.warmup)
+      samples.push_back(
+          std::chrono::duration<double, std::milli>(t1 - t0).count());
+  }
+  bench::apply_wall_stats(row, std::move(samples));
+  row.area = geom.area();
+  row.volume = geom.volume();
+  row.vias = geom.vias.size();
+  row.wiring_area = geom.segs.size() + geom.vias.size() + geom.boxes.size();
+  bench::BenchRecorder::instance().add(row);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   mlvl::bench::parse_bench_flags(argc, argv);
   record_baseline_row("hypercube", hypercube_fixture());
   record_baseline_row("kary", kary_fixture());
+  record_baseline_row("hypercube", paper_scale_fixture());
+  record_lint_row("hypercube", paper_scale_fixture());
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -13,6 +13,7 @@
 //    instead of — the checker).
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "analysis/lint.hpp"
@@ -31,6 +32,107 @@ Diagnostic at(std::uint32_t x, std::uint32_t y, std::uint16_t layer) {
   d.layer = layer;
   return d;
 }
+
+/// Point -> candidate node boxes, built once per rule call over the boxes
+/// `keep` accepts: a uniform bucket grid over the boxes' extent, cells sized
+/// to the mean box footprint and coarsened until there are at most about
+/// four cells per box. A box spanning more than kMaxCellsPerBox cells goes
+/// on a wide list that every lookup also visits, so building stays linear.
+/// Candidates come in geom.boxes order, which keeps "first matching box"
+/// exact. Safe on unchecked geometry: extents are computed in 64 bits, and a
+/// box that NodeBox::contains can never accept (w or h of 0, or an extent
+/// that wraps past 2^32) is left out.
+class BoxGrid {
+ public:
+  template <typename Keep>
+  BoxGrid(const std::vector<NodeBox>& boxes, Keep keep) {
+    constexpr std::uint64_t kWrap = std::uint64_t{1} << 32;
+    std::vector<std::uint32_t> kept;
+    std::uint64_t sum_w = 0, sum_h = 0;
+    for (std::uint32_t i = 0; i < boxes.size(); ++i) {
+      const NodeBox& b = boxes[i];
+      if (b.w == 0 || b.h == 0 || std::uint64_t{b.x} + b.w >= kWrap ||
+          std::uint64_t{b.y} + b.h >= kWrap || !keep(b))
+        continue;
+      if (kept.empty()) {
+        x0_ = b.x, y0_ = b.y, x1_ = b.x + b.w - 1, y1_ = b.y + b.h - 1;
+      } else {
+        x0_ = std::min<std::uint64_t>(x0_, b.x);
+        y0_ = std::min<std::uint64_t>(y0_, b.y);
+        x1_ = std::max<std::uint64_t>(x1_, b.x + b.w - 1);
+        y1_ = std::max<std::uint64_t>(y1_, b.y + b.h - 1);
+      }
+      sum_w += b.w;
+      sum_h += b.h;
+      kept.push_back(i);
+    }
+    if (kept.empty()) return;
+    cw_ = std::max<std::uint64_t>(1, sum_w / kept.size());
+    ch_ = std::max<std::uint64_t>(1, sum_h / kept.size());
+    const std::uint64_t cap = 4 * std::uint64_t{kept.size()} + 64;
+    for (;;) {
+      nx_ = (x1_ - x0_) / cw_ + 1;
+      ny_ = (y1_ - y0_) / ch_ + 1;
+      if (nx_ <= cap / ny_) break;
+      (nx_ >= ny_ ? cw_ : ch_) *= 2;
+    }
+    struct Span {
+      std::uint64_t cx0, cx1, cy0, cy1;
+    };
+    auto span_of = [&](const NodeBox& b) {
+      return Span{(b.x - x0_) / cw_, (b.x + b.w - 1 - x0_) / cw_,
+                  (b.y - y0_) / ch_, (b.y + b.h - 1 - y0_) / ch_};
+    };
+    auto wide = [](const Span& s) {
+      return (s.cx1 - s.cx0 + 1) * (s.cy1 - s.cy0 + 1) > kMaxCellsPerBox;
+    };
+    // Counting pass, prefix sum, then a fill pass in index order, so every
+    // bucket lists its boxes in geom.boxes order.
+    off_.assign(nx_ * ny_ + 1, 0);
+    auto for_cells = [&](const Span& s, auto&& fn) {
+      for (std::uint64_t cy = s.cy0; cy <= s.cy1; ++cy)
+        for (std::uint64_t cx = s.cx0; cx <= s.cx1; ++cx) fn(cy * nx_ + cx);
+    };
+    for (std::uint32_t i : kept) {
+      const Span s = span_of(boxes[i]);
+      if (wide(s))
+        wide_.push_back(i);
+      else
+        for_cells(s, [&](std::uint64_t c) { ++off_[c + 1]; });
+    }
+    for (std::size_t c = 1; c < off_.size(); ++c) off_[c] += off_[c - 1];
+    ids_.resize(off_.back());
+    std::vector<std::uint32_t> fill(off_.begin(), off_.end() - 1);
+    for (std::uint32_t i : kept) {
+      const Span s = span_of(boxes[i]);
+      if (!wide(s)) for_cells(s, [&](std::uint64_t c) { ids_[fill[c]++] = i; });
+    }
+  }
+
+  /// Calls fn(box index) for every box that may contain (x, y), in ascending
+  /// index order, until fn returns true; returns whether one did.
+  template <typename Fn>
+  bool any_of(std::uint32_t x, std::uint32_t y, Fn&& fn) const {
+    if (nx_ == 0 || x < x0_ || x > x1_ || y < y0_ || y > y1_) return false;
+    const std::uint64_t c = (y - y0_) / ch_ * nx_ + (x - x0_) / cw_;
+    const std::uint32_t* a = ids_.data() + off_[c];
+    const std::uint32_t* a_end = ids_.data() + off_[c + 1];
+    const std::uint32_t* w = wide_.data();
+    const std::uint32_t* w_end = w + wide_.size();
+    while (a != a_end || w != w_end) {
+      const bool from_a = w == w_end || (a != a_end && *a < *w);
+      if (fn(from_a ? *a++ : *w++)) return true;
+    }
+    return false;
+  }
+
+ private:
+  static constexpr std::uint64_t kMaxCellsPerBox = 16;
+  std::uint64_t x0_ = 0, y0_ = 0, x1_ = 0, y1_ = 0;  ///< inclusive extent
+  std::uint64_t cw_ = 1, ch_ = 1, nx_ = 0, ny_ = 0;  ///< cell size and count
+  std::vector<std::uint64_t> off_;                   ///< per cell, into ids_
+  std::vector<std::uint32_t> ids_, wide_;
+};
 
 // --- discipline conformance -------------------------------------------------
 
@@ -101,9 +203,11 @@ void via_span_wide(const Graph&, const LayoutGeometry& geom,
 void thompson_knock_knee(const Graph&, const LayoutGeometry& geom,
                          const LintConfig&, const LintEmit& emit) {
   if (geom.num_layers != 2) return;
+  const BoxGrid grid(geom.boxes, [](const NodeBox&) { return true; });
   auto in_some_box = [&](std::uint32_t x, std::uint32_t y) {
-    return std::any_of(geom.boxes.begin(), geom.boxes.end(),
-                       [&](const NodeBox& b) { return b.contains(x, y); });
+    return grid.any_of(x, y, [&](std::uint32_t bi) {
+      return geom.boxes[bi].contains(x, y);
+    });
   };
   struct Bend {
     std::uint64_t key;  ///< packed (x, y)
@@ -140,21 +244,24 @@ void thompson_knock_knee(const Graph&, const LayoutGeometry& geom,
 // realize() terminal allocator hands out, never through the middle.
 void terminal_riser_offtrack(const Graph&, const LayoutGeometry& geom,
                              const LintConfig&, const LintEmit& emit) {
+  const BoxGrid grid(geom.boxes, [](const NodeBox& b) {
+    return b.w > 2 && b.h > 2;  // no interior to land in otherwise
+  });
   for (const Via& v : geom.vias) {
     if (v.z2 < v.z1) continue;
-    for (const NodeBox& b : geom.boxes) {
-      if (b.w <= 2 || b.h <= 2) continue;  // no interior to land in
-      if (b.layer < v.z1 || b.layer > v.z2) continue;
-      if (!b.contains(v.x, v.y)) continue;
+    grid.any_of(v.x, v.y, [&](std::uint32_t bi) {
+      const NodeBox& b = geom.boxes[bi];
+      if (b.layer < v.z1 || b.layer > v.z2) return false;
+      if (!b.contains(v.x, v.y)) return false;
       const bool interior = v.x > b.x && v.x + 1 < b.x + b.w && v.y > b.y &&
                             v.y + 1 < b.y + b.h;
-      if (!interior) continue;
+      if (!interior) return false;
       Diagnostic d = at(v.x, v.y, b.layer);
       d.edge = v.edge;
       d.node = b.node;
       emit(std::move(d));
-      break;
-    }
+      return true;
+    });
   }
 }
 
@@ -247,15 +354,16 @@ void redundant_via(const Graph&, const LayoutGeometry& geom,
   }
 }
 
-/// Content occupancy per row and column, plus the content extent. Clamps to
-/// the declared dimensions so corrupt records cannot index out of range.
+/// Content spans: the clamped x- and y-interval of every record, plus the
+/// content extent. Clamps to the declared dimensions so corrupt records
+/// cannot reach past the frame; cost is O(records), whatever the wire length.
 struct Occupancy {
-  std::vector<bool> col, row;  ///< any geometry in column x / row y
+  using Interval = std::pair<std::uint32_t, std::uint32_t>;  ///< inclusive
+  std::vector<Interval> cols, rows;  ///< one per record that marks anything
   std::uint32_t minx = 0, maxx = 0, miny = 0, maxy = 0;
   bool any = false;
 
-  explicit Occupancy(const LayoutGeometry& geom)
-      : col(geom.width), row(geom.height) {
+  explicit Occupancy(const LayoutGeometry& geom) {
     auto mark = [&](std::uint32_t x1, std::uint32_t y1, std::uint32_t x2,
                     std::uint32_t y2) {
       if (geom.width == 0 || geom.height == 0 || x1 > x2 || y1 > y2) return;
@@ -269,8 +377,8 @@ struct Occupancy {
         minx = std::min(minx, x1), maxx = std::max(maxx, x2);
         miny = std::min(miny, y1), maxy = std::max(maxy, y2);
       }
-      for (std::uint32_t x = x1; x <= x2; ++x) col[x] = true;
-      for (std::uint32_t y = y1; y <= y2; ++y) row[y] = true;
+      cols.emplace_back(x1, x2);
+      rows.emplace_back(y1, y2);
     };
     for (const NodeBox& b : geom.boxes)
       if (b.w > 0 && b.h > 0) mark(b.x, b.y, b.x + b.w - 1, b.y + b.h - 1);
@@ -279,8 +387,8 @@ struct Occupancy {
   }
 };
 
-// Refuse to allocate per-row/column state for frames the checker would
-// reject outright (coord-range); those layouts are the doctor's business.
+// Frames the checker would reject outright (coord-range) are the doctor's
+// business; the frame rules stay quiet on them.
 bool frame_too_large(const LayoutGeometry& geom) {
   return geom.width > grid::kCoordMax || geom.height > grid::kCoordMax;
 }
@@ -291,27 +399,27 @@ bool frame_too_large(const LayoutGeometry& geom) {
 void dead_track(const Graph&, const LayoutGeometry& geom, const LintConfig&,
                 const LintEmit& emit) {
   if (frame_too_large(geom)) return;
-  const Occupancy occ(geom);
+  Occupancy occ(geom);
   if (!occ.any) return;
-  auto report_gaps = [&](const std::vector<bool>& used, std::uint32_t lo,
-                         std::uint32_t hi, bool is_col) {
-    std::uint32_t i = lo;
-    while (i <= hi) {
-      if (used[i]) {
-        ++i;
-        continue;
+  // Sorted by start, the intervals cover the extent except for the gaps
+  // between one interval's reach (the furthest end so far) and the next
+  // start; every gap lies strictly inside the extent.
+  auto report_gaps = [&](std::vector<Occupancy::Interval> used, bool is_col) {
+    std::sort(used.begin(), used.end());
+    std::uint32_t reach = used.front().second;
+    for (const auto& [lo, hi] : used) {
+      if (lo > reach + 1) {
+        Diagnostic d = is_col ? at(reach + 1, 0, 0) : at(0, reach + 1, 0);
+        d.detail = std::string(is_col ? "columns " : "rows ") +
+                   std::to_string(reach + 1) + ".." + std::to_string(lo - 1) +
+                   " carry no geometry";
+        emit(std::move(d));
       }
-      const std::uint32_t start = i;
-      while (i <= hi && !used[i]) ++i;
-      Diagnostic d = is_col ? at(start, 0, 0) : at(0, start, 0);
-      d.detail = std::string(is_col ? "columns " : "rows ") +
-                 std::to_string(start) + ".." + std::to_string(i - 1) +
-                 " carry no geometry";
-      emit(std::move(d));
+      reach = std::max(reach, hi);
     }
   };
-  if (occ.maxx > occ.minx) report_gaps(occ.col, occ.minx + 1, occ.maxx - 1, true);
-  if (occ.maxy > occ.miny) report_gaps(occ.row, occ.miny + 1, occ.maxy - 1, false);
+  report_gaps(std::move(occ.cols), true);
+  report_gaps(std::move(occ.rows), false);
 }
 
 // The declared width/height must hug the content: no blank margin before the

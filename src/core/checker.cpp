@@ -13,8 +13,11 @@
 //      path is a pure function of the grid dimensions, so results stay
 //      deterministic. Terminal theft is checked by probing the slab under
 //      every node box.
-//   3. Connectivity (parallel over edges): per-edge BFS over the edge's own
-//      points, unchanged from the classic checker.
+//   3. Connectivity (parallel over edges): a per-edge record index (CSR, in
+//      geometry order) lets each worker expand one edge at a time into its
+//      own reusable scratch, sorted by merging the few ascending runs its
+//      records leave. Union-find over the sorted, deduplicated points finds
+//      +x neighbours adjacent and +y/+z neighbours by forward cursors.
 // Per-band and per-edge results are merged into the sink in band-index /
 // edge-id order, which makes the diagnostic sequence independent of the
 // worker count.
@@ -26,6 +29,7 @@
 #include <cstddef>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -510,26 +514,117 @@ void scan_band_sorted(const BandContext& ctx, std::uint32_t band,
   }
 }
 
-/// Phase 3 for one edge: BFS over its own (deduplicated) points; at most
-/// one diagnostic (unrouted / disconnected / misses-terminal).
-std::vector<Diagnostic> verify_edge(const Graph& g, EdgeId e,
-                                    std::vector<std::uint64_t>& p,
-                                    const std::vector<const NodeBox*>& box_of) {
-  poll_cancellation("check");
-  std::vector<Diagnostic> out;
-  if (p.empty()) {
-    out.push_back({.code = Code::kEdgeUnrouted, .edge = e});
-    return out;
+/// Per-edge record index for phase 3 (CSR): edge e's records are
+/// ids[off[e] .. off[e + 1]) in geometry order. An id below the segment count
+/// names a segment; the rest name vias, offset by the segment count.
+struct EdgeRecords {
+  std::vector<std::uint32_t> off, ids;
+};
+
+EdgeRecords index_edge_records(const LayoutGeometry& geom,
+                               std::uint32_t num_edges,
+                               const std::vector<char>& edge_frame_ok) {
+  EdgeRecords idx;
+  idx.off.assign(num_edges + 1, 0);
+  auto checked = [&](EdgeId e) { return e < num_edges && edge_frame_ok[e]; };
+  for (const WireSeg& s : geom.segs)
+    if (checked(s.edge)) ++idx.off[s.edge + 1];
+  for (const Via& v : geom.vias)
+    if (checked(v.edge)) ++idx.off[v.edge + 1];
+  for (std::uint32_t e = 0; e < num_edges; ++e) idx.off[e + 1] += idx.off[e];
+  idx.ids.resize(idx.off[num_edges]);
+  std::vector<std::uint32_t> fill(idx.off.begin(), idx.off.end() - 1);
+  const auto nsegs = static_cast<std::uint32_t>(geom.segs.size());
+  for (std::uint32_t si = 0; si < nsegs; ++si)
+    if (checked(geom.segs[si].edge)) idx.ids[fill[geom.segs[si].edge]++] = si;
+  for (std::uint32_t vi = 0; vi < geom.vias.size(); ++vi)
+    if (checked(geom.vias[vi].edge))
+      idx.ids[fill[geom.vias[vi].edge]++] = nsegs + vi;
+  return idx;
+}
+
+/// Per-worker reusable phase-3 scratch: one edge's points at a time.
+struct EdgeScratch {
+  /// (first key, record id, layer): a segment, or one layer of a via.
+  std::vector<std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>> pieces;
+  std::vector<std::uint64_t> pts, merged;
+  std::vector<std::uint32_t> runs, parent;
+};
+
+/// Fills sc.pts with edge e's points, sorted and deduplicated. Every segment
+/// expands to ascending keys, and so does each layer of a via, so the pieces
+/// are laid out by first key; what overlap is left splits the array into a
+/// few ascending runs, which pairwise merge passes put in order.
+void expand_edge(const LayoutGeometry& geom, EdgeId e, const EdgeRecords& idx,
+                 EdgeScratch& sc) {
+  const auto nsegs = static_cast<std::uint32_t>(geom.segs.size());
+  sc.pieces.clear();
+  for (std::uint32_t r = idx.off[e]; r < idx.off[e + 1]; ++r) {
+    const std::uint32_t id = idx.ids[r];
+    if (id < nsegs) {
+      const WireSeg& s = geom.segs[id];
+      sc.pieces.emplace_back(key3(s.x1, s.y1, s.layer), id, s.layer);
+    } else {  // full column: vias always connect
+      const Via& v = geom.vias[id - nsegs];
+      for (std::uint32_t zz = v.z1; zz <= v.z2; ++zz)
+        sc.pieces.emplace_back(key3(v.x, v.y, zz), id, zz);
+    }
   }
-  std::sort(p.begin(), p.end());
+  std::sort(sc.pieces.begin(), sc.pieces.end());
+
+  std::vector<std::uint64_t>& p = sc.pts;
+  p.clear();
+  sc.runs.clear();
+  for (const auto& [first, id, z] : sc.pieces) {
+    if (p.empty() || first < p.back())
+      sc.runs.push_back(static_cast<std::uint32_t>(p.size()));
+    if (id >= nsegs) {
+      p.push_back(first);
+      continue;
+    }
+    const WireSeg& s = geom.segs[id];
+    for (std::uint32_t yy = s.y1; yy <= s.y2; ++yy)
+      for (std::uint32_t xx = s.x1; xx <= s.x2; ++xx)
+        p.push_back(key3(xx, yy, z));
+  }
+  sc.runs.push_back(static_cast<std::uint32_t>(p.size()));
+  while (sc.runs.size() > 2) {  // runs holds run starts plus the end
+    sc.merged.resize(p.size());
+    std::size_t out = 0;
+    for (std::size_t j = 0; j + 1 < sc.runs.size(); j += 2) {
+      const std::uint32_t a = sc.runs[j], b = sc.runs[j + 1];
+      const std::uint32_t c = j + 2 < sc.runs.size() ? sc.runs[j + 2] : b;
+      std::merge(p.begin() + a, p.begin() + b, p.begin() + b, p.begin() + c,
+                 sc.merged.begin() + a);
+      sc.runs[out++] = a;
+    }
+    sc.runs[out++] = sc.runs.back();
+    sc.runs.resize(out);
+    p.swap(sc.merged);
+  }
   p.erase(std::unique(p.begin(), p.end()), p.end());
+}
+
+/// Phase 3 for one edge: expand its records into the worker's scratch, then
+/// union-find over the sorted, deduplicated points. Returns at most one
+/// diagnostic (unrouted / disconnected / misses-terminal).
+std::optional<Diagnostic> verify_edge(const Graph& g, const LayoutGeometry& geom,
+                                      EdgeId e, const EdgeRecords& idx,
+                                      const std::vector<const NodeBox*>& box_of,
+                                      EdgeScratch& sc) {
+  poll_cancellation("check");
+  expand_edge(geom, e, idx, sc);
+  const std::vector<std::uint64_t>& p = sc.pts;
+  if (p.empty()) return Diagnostic{.code = Code::kEdgeUnrouted, .edge = e};
 
   // Connectivity by union-find over the sorted keys. x sits in the key's low
-  // bits, so the +x neighbour (if present) is the next element; +y and +z
-  // neighbours are one binary search each. Every adjacent pair is seen from
-  // its lower endpoint, so three probes per point cover the 6-neighbourhood.
+  // bits, so the +x neighbour (if present) is the next element. The +y and
+  // +z neighbours, p[i] + step, grow with i, so each is found by a cursor
+  // that only moves forward. Every adjacent pair is seen from its lower
+  // endpoint, so three probes per point cover the 6-neighbourhood.
   const auto n = static_cast<std::uint32_t>(p.size());
-  std::vector<std::uint32_t> parent(n);
+  std::vector<std::uint32_t>& parent = sc.parent;
+  parent.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) parent[i] = i;
   auto find = [&](std::uint32_t i) {
     while (parent[i] != i) {
@@ -543,26 +638,23 @@ std::vector<Diagnostic> verify_edge(const Graph& g, EdgeId e,
     b = find(b);
     if (a != b) parent[std::max(a, b)] = std::min(a, b);
   };
-  auto probe = [&](std::uint32_t i, std::uint64_t want) {
-    const auto it = std::lower_bound(p.begin() + i + 1, p.end(), want);
-    if (it != p.end() && *it == want)
-      unite(i, static_cast<std::uint32_t>(it - p.begin()));
+  auto probe = [&](std::uint32_t i, std::uint32_t& cursor, std::uint64_t want) {
+    while (cursor < n && p[cursor] < want) ++cursor;
+    if (cursor < n && p[cursor] == want) unite(i, cursor);
   };
+  std::uint32_t next_y = 0, next_z = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint64_t k = p[i];
     if (i + 1 < n && p[i + 1] == k + 1 && key_x(k) != kCoordMax)
       unite(i, i + 1);
-    if (key_y(k) != kCoordMax) probe(i, k + (1ull << grid::kCoordBits));
-    probe(i, k + (1ull << (2 * grid::kCoordBits)));
+    if (key_y(k) != kCoordMax)
+      probe(i, next_y, k + (1ull << grid::kCoordBits));
+    probe(i, next_z, k + (1ull << (2 * grid::kCoordBits)));
   }
   const std::uint32_t root = find(0);
   for (std::uint32_t i = 1; i < n; ++i)
-    if (find(i) != root) {
-      // A stranded point: the diagnostic names real coordinates.
-      out.push_back(at_key(p[i], {.code = Code::kEdgeDisconnected,
-                                  .edge = e}));
-      return out;
-    }
+    if (find(i) != root)  // a stranded point: the diagnostic names it
+      return at_key(p[i], {.code = Code::kEdgeDisconnected, .edge = e});
 
   const Edge& ed = g.edge(e);
   const NodeBox* bu = box_of[ed.u];
@@ -577,15 +669,15 @@ std::vector<Diagnostic> verify_edge(const Graph& g, EdgeId e,
   }
   if ((!touch_u && bu) || (!touch_v && bv)) {
     const NodeBox* missing = (!touch_u && bu) ? bu : bv;
-    out.push_back({.code = Code::kEdgeMissesTerminal,
-                   .has_point = true,
-                   .x = missing->x,
-                   .y = missing->y,
-                   .layer = missing->layer,
-                   .edge = e,
-                   .node = missing->node});
+    return Diagnostic{.code = Code::kEdgeMissesTerminal,
+                      .has_point = true,
+                      .x = missing->x,
+                      .y = missing->y,
+                      .layer = missing->layer,
+                      .edge = e,
+                      .node = missing->node};
   }
-  return out;
+  return std::nullopt;
 }
 
 }  // namespace
@@ -602,7 +694,7 @@ CheckReport Checker::check(DiagnosticSink& sink) {
   obs::Span span("check");
   const auto t0 = std::chrono::steady_clock::now();
   CheckReport rep;
-  Reporter reporter{sink};
+  Reporter reporter{sink, 0, {}};
   auto finalize = [&]() -> CheckReport& {
     rep.ok = reporter.found == 0;
     if (!rep.ok) rep.error = reporter.first.to_string();
@@ -694,24 +786,16 @@ CheckReport Checker::check(DiagnosticSink& sink) {
   std::vector<std::uint32_t> check_list;
   for (EdgeId e = 0; e < num_edges; ++e)
     if (fr.edge_frame_ok[e]) check_list.push_back(e);
-  std::vector<std::vector<std::uint64_t>> pts(num_edges);
-  for (const WireSeg& s : geom_.segs) {
-    if (s.edge >= num_edges || !fr.edge_frame_ok[s.edge]) continue;
-    for (std::uint32_t yy = s.y1; yy <= s.y2; ++yy)
-      for (std::uint32_t xx = s.x1; xx <= s.x2; ++xx)
-        pts[s.edge].push_back(key3(xx, yy, s.layer));
-  }
-  for (const Via& v : geom_.vias) {  // full column: vias always connect
-    if (v.edge >= num_edges || !fr.edge_frame_ok[v.edge]) continue;
-    for (std::uint32_t zz = v.z1; zz <= v.z2; ++zz)
-      pts[v.edge].push_back(key3(v.x, v.y, zz));
-  }
-  std::vector<std::vector<Diagnostic>> conn(check_list.size());
-  parallel_for(nthreads, check_list.size(), [&](std::size_t i, std::uint32_t) {
-    conn[i] = verify_edge(g_, check_list[i], pts[check_list[i]], fr.box_of);
+  const EdgeRecords idx = index_edge_records(geom_, num_edges, fr.edge_frame_ok);
+  std::vector<EdgeScratch> edge_scratch(std::max<std::size_t>(
+      1, std::min<std::size_t>(nthreads, check_list.size())));
+  std::vector<std::optional<Diagnostic>> conn(check_list.size());
+  parallel_for(nthreads, check_list.size(), [&](std::size_t i, std::uint32_t w) {
+    conn[i] = verify_edge(g_, geom_, check_list[i], idx, fr.box_of,
+                          edge_scratch[w]);
   });
-  for (const std::vector<Diagnostic>& ds : conn)
-    for (const Diagnostic& d : ds) reporter(d);
+  for (const std::optional<Diagnostic>& d : conn)
+    if (d) reporter(*d);
   return finalize();
 }
 

@@ -243,5 +243,84 @@ TEST(CheckerApi, FirstFailureConvenienceCarriesError) {
   EXPECT_FALSE(static_cast<bool>(rep));
 }
 
+
+// ---- Connectivity edge cases ----------------------------------------------
+// Phase 3 expands one edge at a time into per-worker scratch; these pin the
+// point model it must keep: 6-neighbour adjacency between any two points of
+// one edge (with or without a via), vias as full z-columns, and the first
+// stranded point in key order named by the diagnostic.
+
+/// Every diagnostic of a full pass, asserted identical at 1 and 8 workers.
+std::vector<std::string> all_diagnostics(const Graph& g,
+                                         const LayoutGeometry& geom,
+                                         ViaRule rule) {
+  DiagnosticSink serial_sink(64);
+  Checker(g, geom, {.via_rule = rule, .threads = 1}).check(serial_sink);
+  DiagnosticSink parallel_sink(64);
+  Checker(g, geom, {.via_rule = rule, .threads = 8}).check(parallel_sink);
+  EXPECT_EQ(rendered(serial_sink), rendered(parallel_sink));
+  return rendered(serial_sink);
+}
+
+using Diags = std::vector<std::string>;
+
+TEST(CheckerConnectivity, AdjacentLayersAtOnePointConnectWithoutAVia) {
+  // Layer 1 -> layer 2 at (5,1) and back at (8,1), no via records.
+  Fixture f;
+  f.geom.segs = {{1, 1, 5, 1, 1, 0}, {5, 1, 8, 1, 2, 0}, {8, 1, 9, 1, 1, 0}};
+  EXPECT_EQ(all_diagnostics(f.g, f.geom, ViaRule::kBlocking), Diags{});
+  EXPECT_EQ(all_diagnostics(f.g, f.geom, ViaRule::kTransparent), Diags{});
+}
+
+TEST(CheckerConnectivity, ParallelRunsOneTrackApartConnect) {
+  Fixture f;
+  f.geom.segs.push_back({3, 2, 6, 2, 1, 0});  // row 2, under the main run
+  EXPECT_EQ(all_diagnostics(f.g, f.geom, ViaRule::kBlocking), Diags{});
+}
+
+/// Main path: a layer-1 stub out of node 0's box, up a via, along layer 2
+/// and down into node 1's box, so its largest key is on layer 2.
+Fixture climbing_fixture() {
+  Fixture f;
+  f.geom.segs = {{1, 1, 2, 1, 1, 0}, {2, 1, 9, 1, 2, 0}};
+  f.geom.vias = {{2, 1, 1, 2, 0}, {9, 1, 1, 2, 0}};
+  return f;
+}
+
+TEST(CheckerConnectivity, StrandedPieceInsideThePathsKeyRangeIsNamed) {
+  // The stranded run on layer 1, row 3 sorts after the path's layer-1 keys
+  // and before its layer-2 keys; its first point is the one reported.
+  Fixture f = climbing_fixture();
+  f.geom.segs.push_back({3, 3, 5, 3, 1, 0});
+  EXPECT_EQ(all_diagnostics(f.g, f.geom, ViaRule::kBlocking),
+            Diags{"edge 0 wire is disconnected at (3,3,1)"});
+}
+
+TEST(CheckerConnectivity, StrandedPieceHoldingTheSmallestKeyIsTheRoot) {
+  // The stranded run on row 0 holds the edge's smallest key, so its
+  // component is the root and the path's first point is the one reported.
+  Fixture f = climbing_fixture();
+  f.geom.segs.push_back({4, 0, 6, 0, 1, 0});
+  EXPECT_EQ(all_diagnostics(f.g, f.geom, ViaRule::kBlocking),
+            Diags{"edge 0 wire is disconnected at (1,1,1)"});
+}
+
+TEST(CheckerConnectivity, EdgeOfViasOnly) {
+  // Node 0 on layer 1 and node 1 on layer 3 over the same cells (the 3-D
+  // grid model): one via column joins them, through layer 2.
+  Fixture f;
+  f.geom.num_layers = 3;
+  f.geom.boxes = {{0, 0, 2, 2, 0, 1}, {0, 0, 2, 2, 1, 3}};
+  f.geom.segs.clear();
+  f.geom.vias = {{1, 1, 1, 3, 0}};
+  for (ViaRule rule : {ViaRule::kBlocking, ViaRule::kTransparent})
+    EXPECT_EQ(all_diagnostics(f.g, f.geom, rule), Diags{});
+  // Two columns that only meet diagonally do not connect.
+  f.geom.vias = {{0, 0, 1, 2, 0}, {1, 1, 2, 3, 0}};
+  for (ViaRule rule : {ViaRule::kBlocking, ViaRule::kTransparent})
+    EXPECT_EQ(all_diagnostics(f.g, f.geom, rule),
+              Diags{"edge 0 wire is disconnected at (1,1,2)"});
+}
+
 }  // namespace
 }  // namespace mlvl

@@ -5,10 +5,17 @@
 // promises, so a finding here is a bug in one or the other).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "analysis/lint.hpp"
 #include "core/checker.hpp"
+#include "core/gridkey.hpp"
 #include "layout/butterfly_layout.hpp"
 #include "layout/ccc_layout.hpp"
 #include "layout/cluster_layout.hpp"
@@ -517,6 +524,337 @@ TEST(LintFamilies, KaryCluster) {
   expect_lint_clean(
       layout::layout_kary_cluster(3, 2, 4, topo::ClusterKind::kHypercube),
       {2, 4});
+}
+
+
+// --- indexed rules agree with their linear-scan references -----------------
+
+// Test-only references: the linear-scan bodies of terminal-riser-offtrack and
+// thompson-knock-knee, and the per-row/column bitmap behind dead-track and
+// bbox-slack, as they were before the rules moved to a box grid and interval
+// merging. The production rules must report the same findings in the same
+// order on any geometry, checked or not.
+namespace oracle {
+
+using analysis::detail::LintEmit;
+
+bool is_run(const WireSeg& s) { return s.x1 != s.x2 || s.y1 != s.y2; }
+
+Diagnostic at(std::uint32_t x, std::uint32_t y, std::uint16_t layer) {
+  Diagnostic d;
+  d.has_point = true;
+  d.x = x;
+  d.y = y;
+  d.layer = layer;
+  return d;
+}
+
+void thompson_knock_knee(const LayoutGeometry& geom, const LintEmit& emit) {
+  if (geom.num_layers != 2) return;
+  auto in_some_box = [&](std::uint32_t x, std::uint32_t y) {
+    return std::any_of(geom.boxes.begin(), geom.boxes.end(),
+                       [&](const NodeBox& b) { return b.contains(x, y); });
+  };
+  struct Bend {
+    std::uint64_t key;
+    EdgeId edge;
+    std::uint16_t layer;
+  };
+  std::vector<Bend> bends;
+  for (const WireSeg& s : geom.segs) {
+    if (!is_run(s)) continue;
+    for (auto [x, y] : {std::pair{s.x1, s.y1}, std::pair{s.x2, s.y2}}) {
+      if (in_some_box(x, y)) continue;
+      bends.push_back({grid::key3(x, y, 0), s.edge, s.layer});
+    }
+  }
+  std::sort(bends.begin(), bends.end(), [](const Bend& a, const Bend& b) {
+    return a.key != b.key ? a.key < b.key : a.edge < b.edge;
+  });
+  for (std::size_t i = 1; i < bends.size(); ++i) {
+    if (bends[i].key != bends[i - 1].key ||
+        bends[i].edge == bends[i - 1].edge)
+      continue;
+    Diagnostic d = at(grid::key_x(bends[i].key), grid::key_y(bends[i].key),
+                      bends[i].layer);
+    d.edge = bends[i - 1].edge;
+    d.edge2 = bends[i].edge;
+    emit(std::move(d));
+    while (i + 1 < bends.size() && bends[i + 1].key == bends[i].key) ++i;
+  }
+}
+
+void terminal_riser_offtrack(const LayoutGeometry& geom, const LintEmit& emit) {
+  for (const Via& v : geom.vias) {
+    if (v.z2 < v.z1) continue;
+    for (const NodeBox& b : geom.boxes) {
+      if (b.w <= 2 || b.h <= 2) continue;
+      if (b.layer < v.z1 || b.layer > v.z2) continue;
+      if (!b.contains(v.x, v.y)) continue;
+      const bool interior = v.x > b.x && v.x + 1 < b.x + b.w && v.y > b.y &&
+                            v.y + 1 < b.y + b.h;
+      if (!interior) continue;
+      Diagnostic d = at(v.x, v.y, b.layer);
+      d.edge = v.edge;
+      d.node = b.node;
+      emit(std::move(d));
+      break;
+    }
+  }
+}
+
+struct Occupancy {
+  std::vector<bool> col, row;
+  std::uint32_t minx = 0, maxx = 0, miny = 0, maxy = 0;
+  bool any = false;
+
+  explicit Occupancy(const LayoutGeometry& geom)
+      : col(geom.width), row(geom.height) {
+    auto mark = [&](std::uint32_t x1, std::uint32_t y1, std::uint32_t x2,
+                    std::uint32_t y2) {
+      if (geom.width == 0 || geom.height == 0 || x1 > x2 || y1 > y2) return;
+      x2 = std::min<std::uint32_t>(x2, geom.width - 1);
+      y2 = std::min<std::uint32_t>(y2, geom.height - 1);
+      if (x1 > x2 || y1 > y2) return;
+      if (!any) {
+        minx = x1, maxx = x2, miny = y1, maxy = y2;
+        any = true;
+      } else {
+        minx = std::min(minx, x1), maxx = std::max(maxx, x2);
+        miny = std::min(miny, y1), maxy = std::max(maxy, y2);
+      }
+      for (std::uint32_t x = x1; x <= x2; ++x) col[x] = true;
+      for (std::uint32_t y = y1; y <= y2; ++y) row[y] = true;
+    };
+    for (const NodeBox& b : geom.boxes)
+      if (b.w > 0 && b.h > 0) mark(b.x, b.y, b.x + b.w - 1, b.y + b.h - 1);
+    for (const WireSeg& s : geom.segs) mark(s.x1, s.y1, s.x2, s.y2);
+    for (const Via& v : geom.vias) mark(v.x, v.y, v.x, v.y);
+  }
+};
+
+bool frame_too_large(const LayoutGeometry& geom) {
+  return geom.width > grid::kCoordMax || geom.height > grid::kCoordMax;
+}
+
+void dead_track(const LayoutGeometry& geom, const LintEmit& emit) {
+  if (frame_too_large(geom)) return;
+  const Occupancy occ(geom);
+  if (!occ.any) return;
+  auto report_gaps = [&](const std::vector<bool>& used, std::uint32_t lo,
+                         std::uint32_t hi, bool is_col) {
+    std::uint32_t i = lo;
+    while (i <= hi) {
+      if (used[i]) {
+        ++i;
+        continue;
+      }
+      const std::uint32_t start = i;
+      while (i <= hi && !used[i]) ++i;
+      Diagnostic d = is_col ? at(start, 0, 0) : at(0, start, 0);
+      d.detail = std::string(is_col ? "columns " : "rows ") +
+                 std::to_string(start) + ".." + std::to_string(i - 1) +
+                 " carry no geometry";
+      emit(std::move(d));
+    }
+  };
+  if (occ.maxx > occ.minx) report_gaps(occ.col, occ.minx + 1, occ.maxx - 1, true);
+  if (occ.maxy > occ.miny) report_gaps(occ.row, occ.miny + 1, occ.maxy - 1, false);
+}
+
+void bbox_slack(const LayoutGeometry& geom, const LintEmit& emit) {
+  if (frame_too_large(geom)) return;
+  const Occupancy occ(geom);
+  if (!occ.any) return;
+  std::string slack;
+  auto add = [&](const char* side, std::uint64_t n) {
+    if (n == 0) return;
+    if (!slack.empty()) slack += ", ";
+    slack += std::string(side) + "=" + std::to_string(n);
+  };
+  add("left", occ.minx);
+  add("top", occ.miny);
+  add("right", geom.width - 1 - occ.maxx);
+  add("bottom", geom.height - 1 - occ.maxy);
+  if (slack.empty()) return;
+  Diagnostic d;
+  d.detail = "blank margin (" + slack + ") around content [" +
+             std::to_string(occ.minx) + ".." + std::to_string(occ.maxx) +
+             "]x[" + std::to_string(occ.miny) + ".." +
+             std::to_string(occ.maxy) + "]";
+  emit(std::move(d));
+}
+
+void run(LintRule r, const LayoutGeometry& geom, const LintEmit& emit) {
+  switch (r) {
+    case LintRule::kThompsonKnockKnee: return thompson_knock_knee(geom, emit);
+    case LintRule::kTerminalRiserOfftrack:
+      return terminal_riser_offtrack(geom, emit);
+    case LintRule::kDeadTrack: return dead_track(geom, emit);
+    case LintRule::kBboxSlack: return bbox_slack(geom, emit);
+    default: break;
+  }
+}
+
+}  // namespace oracle
+
+constexpr LintRule kOracleRules[] = {
+    LintRule::kThompsonKnockKnee, LintRule::kTerminalRiserOfftrack,
+    LintRule::kDeadTrack, LintRule::kBboxSlack};
+
+/// Every finding rendered with its location fields, in emission order.
+template <typename Run>
+std::vector<std::string> rendered_findings(LintRule r, Run&& run) {
+  std::vector<std::string> out;
+  run([&](Diagnostic d) {
+    d.code = analysis::lint_rule_info(r).code;
+    out.push_back(d.to_string() + " | " + analysis::lint_fingerprint(d));
+  });
+  return out;
+}
+
+/// Findings compared per rule of kOracleRules, so tests can check that their
+/// inputs give every rule something to report.
+using OracleCounts = std::array<std::size_t, std::size(kOracleRules)>;
+
+/// Asserts the production rules match the references on `geom`, adding the
+/// number of findings compared to `compared`.
+void expect_oracle_agrees(const Graph& g, const LayoutGeometry& geom,
+                          const std::string& what, OracleCounts& compared) {
+  const LintConfig cfg;
+  for (std::size_t i = 0; i < std::size(kOracleRules); ++i) {
+    const LintRule r = kOracleRules[i];
+    const auto got = rendered_findings(r, [&](const auto& emit) {
+      analysis::detail::run_lint_rule(r, g, geom, cfg, emit);
+    });
+    const auto want = rendered_findings(
+        r, [&](const auto& emit) { oracle::run(r, geom, emit); });
+    EXPECT_EQ(got, want) << what << ": " << analysis::lint_rule_info(r).id;
+    compared[i] += want.size();
+  }
+}
+
+void expect_every_rule_compared(const OracleCounts& compared,
+                                std::size_t at_least) {
+  for (std::size_t i = 0; i < std::size(kOracleRules); ++i)
+    EXPECT_GE(compared[i], at_least)
+        << analysis::lint_rule_info(kOracleRules[i]).id;
+}
+
+/// Seeded random geometry that no checker has seen: overlapping boxes,
+/// boxes 0, 1 or 2 points wide, a few boxes far wider than the rest, vias
+/// with z2 < z1, records and boxes past the frame, and now and then
+/// coordinates near 2^32 whose box extents wrap.
+LayoutGeometry random_geometry(std::mt19937_64& rng) {
+  auto pick = [&](std::uint32_t lo, std::uint32_t hi) {
+    return std::uniform_int_distribution<std::uint32_t>(lo, hi)(rng);
+  };
+  LayoutGeometry geom;
+  geom.num_layers = static_cast<std::uint16_t>(pick(0, 2) == 0 ? pick(3, 5) : 2);
+  geom.width = pick(0, 9) == 0 ? pick(0, 3) : pick(4, 40);
+  geom.height = pick(0, 9) == 0 ? pick(0, 3) : pick(4, 40);
+  const std::uint32_t spread = pick(0, 4) == 0 ? 4000 : 1;  // sparse boxes
+  const std::uint32_t span = std::max(geom.width, geom.height) + 6;
+  auto coord = [&] {
+    return pick(0, 19) == 0 ? pick(0xFFFFFFE0u, 0xFFFFFFFFu) : pick(0, span);
+  };
+  const std::uint32_t nboxes = pick(0, 24);
+  for (std::uint32_t i = 0; i < nboxes; ++i) {
+    NodeBox b;
+    b.x = pick(0, 19) == 0 ? coord() : pick(0, span) * spread;
+    b.y = pick(0, 19) == 0 ? coord() : pick(0, span) * spread;
+    b.w = pick(0, 7) == 0 ? pick(10, 40) : pick(0, 5);
+    b.h = pick(0, 7) == 0 ? pick(10, 40) : pick(0, 5);
+    if (pick(0, 29) == 0) b.w = 0x40;  // wraps when x is near 2^32
+    b.node = pick(0, 3);
+    b.layer = static_cast<std::uint16_t>(pick(1, geom.num_layers + 1));
+    geom.boxes.push_back(b);
+  }
+  const std::uint32_t nsegs = pick(0, 40);
+  for (std::uint32_t i = 0; i < nsegs; ++i) {
+    WireSeg s;
+    s.x1 = coord();
+    s.y1 = coord();
+    switch (pick(0, 4)) {
+      case 0: s.x2 = s.x1, s.y2 = s.y1; break;             // stub
+      case 1: s.x2 = coord(), s.y2 = coord(); break;       // malformed
+      case 2: s.x2 = std::max(s.x1, coord()), s.y2 = s.y1; break;
+      default: s.x2 = s.x1, s.y2 = std::max(s.y1, coord()); break;
+    }
+    s.layer = static_cast<std::uint16_t>(pick(1, geom.num_layers + 1));
+    s.edge = pick(0, 4);
+    geom.segs.push_back(s);
+  }
+  const std::uint32_t nvias = pick(0, 40);
+  for (std::uint32_t i = 0; i < nvias; ++i) {
+    Via v;
+    if (!geom.boxes.empty() && pick(0, 1) == 0) {  // aim inside a box
+      const NodeBox& b = geom.boxes[pick(0, nboxes - 1)];
+      v.x = b.x + pick(0, std::max<std::uint32_t>(b.w, 1) - 1);
+      v.y = b.y + pick(0, std::max<std::uint32_t>(b.h, 1) - 1);
+    } else {
+      v.x = coord();
+      v.y = coord();
+    }
+    v.z1 = static_cast<std::uint16_t>(pick(1, geom.num_layers + 1));
+    v.z2 = static_cast<std::uint16_t>(pick(0, 3) == 0 ? pick(0, v.z1)
+                                                      : pick(v.z1, geom.num_layers + 1));
+    v.edge = pick(0, 4);
+    geom.vias.push_back(v);
+  }
+  return geom;
+}
+
+TEST(LintOracle, RandomUncheckedGeometryMatchesLinearScans) {
+  Graph g(4);
+  for (NodeId u = 0; u < 4; ++u)
+    for (NodeId v = u + 1; v < 4; ++v) g.add_edge(u, v);
+  std::mt19937_64 rng(20240611);
+  OracleCounts compared{};
+  for (int i = 0; i < 3000; ++i)
+    expect_oracle_agrees(g, random_geometry(rng),
+                         "random geometry #" + std::to_string(i), compared);
+  expect_every_rule_compared(compared, 200);
+}
+
+TEST(LintOracle, FamilyLayoutsMatchLinearScans) {
+  const Orthogonal2Layer layouts[] = {
+      layout::layout_kary(3, 3),
+      layout::layout_kary(4, 2, Ordering::kFolded),
+      layout::layout_kary(5, 1),
+      layout::layout_kary_mesh(4, 3),
+      layout::layout_hypercube(4),
+      layout::layout_ghc(4, 2),
+      layout::layout_ghc({3, 4, 2}),
+      layout::layout_folded_hypercube(4),
+      layout::layout_enhanced_cube(4, 99),
+      layout::layout_ccc(4),
+      layout::layout_reduced_hypercube(4),
+      layout::layout_hsn(3, topo::make_ring(4)),
+      layout::layout_hhn(2, 3),
+      layout::layout_isn(3, 3),
+      layout::layout_butterfly(4),
+      layout::layout_star_structured(4),
+      layout::layout_kary_cluster(3, 2, 4, topo::ClusterKind::kHypercube),
+  };
+  OracleCounts compared{};
+  for (std::size_t i = 0; i < std::size(layouts); ++i)
+    for (std::uint32_t L : {2u, 3u, 4u, 16u}) {
+      MultilayerLayout ml = realize(layouts[i], {.L = L});
+      const std::string what =
+          "layout #" + std::to_string(i) + " L=" + std::to_string(L);
+      expect_oracle_agrees(layouts[i].graph, ml.geom, what, compared);
+      // The same layout damaged so the rules have findings: every third
+      // edge unrouted (its tracks go dead), and every via and run end
+      // nudged one point (risers land in box interiors, bends meet).
+      std::erase_if(ml.geom.segs, [](const WireSeg& s) { return s.edge % 3 == 0; });
+      std::erase_if(ml.geom.vias, [](const Via& v) { return v.edge % 3 == 0; });
+      for (Via& v : ml.geom.vias) ++v.x, ++v.y;
+      for (WireSeg& s : ml.geom.segs) ++s.x2, ++s.y1;
+      expect_oracle_agrees(layouts[i].graph, ml.geom, what + " (nudged)",
+                           compared);
+    }
+  expect_every_rule_compared(compared, 20);
 }
 
 }  // namespace
