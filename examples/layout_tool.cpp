@@ -3,7 +3,7 @@
 // doctor: load a saved layout, collect every violation with exact
 // coordinates, and optionally rip-up/re-route the implicated edges. And the
 // profiler: --trace/--metrics record every pipeline phase (topology,
-// placement, interval, routing, fold, check, lint, repair) as Chrome
+// placement, interval, routing, check, lint, repair) as Chrome
 // trace-event JSON and a metrics registry dump, without touching stdout.
 // And the sweeper: `sweep` expands family patterns like hypercube(n=6..10)
 // across an -L range and runs every job on the parallel batch engine, with
@@ -45,7 +45,6 @@
 #include "analysis/routing.hpp"
 #include "api/layout_api.hpp"
 #include "core/checker.hpp"
-#include "core/fold.hpp"
 #include "core/io.hpp"
 #include "core/metrics.hpp"
 #include "core/svg.hpp"
@@ -235,12 +234,9 @@ int run_doctor(const std::vector<std::string>& args, const CommonOptions& copt,
                const CheckOptions& chk) {
   std::string file, save_path;
   bool do_repair = false;
-  ViaRule rule = chk.via_rule;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "-repair") {
       do_repair = true;
-    } else if (args[i] == "-transparent") {
-      rule = ViaRule::kTransparent;
     } else if (args[i] == "-save" && i + 1 < args.size()) {
       save_path = args[++i];
     } else if (file.empty() && !args[i].empty() && args[i][0] != '-') {
@@ -263,7 +259,7 @@ int run_doctor(const std::vector<std::string>& args, const CommonOptions& copt,
 
   DiagnosticSink sink(256);
   Checker checker(loaded->graph, loaded->geom,
-                  {.via_rule = rule, .threads = chk.threads});
+                  {.via_rule = chk.via_rule, .threads = chk.threads});
   const CheckReport report = checker.check(sink);
   publish_sink_totals("doctor", sink);
   if (copt.loud(2))
@@ -287,7 +283,7 @@ int run_doctor(const std::vector<std::string>& args, const CommonOptions& copt,
 
   robustness::RepairReport rep = robustness::repair_layout(
       loaded->graph, loaded->geom,
-      {.rule = rule, .check_threads = chk.threads});
+      {.rule = chk.via_rule, .check_threads = chk.threads});
   if (copt.loud())
     std::cout << "\nrepair: " << rep.ripped.size() << " edge(s) ripped, "
               << rep.rerouted.size() << " re-routed, " << rep.failed.size()
@@ -323,8 +319,6 @@ int run_lint(const std::vector<std::string>& args, const CommonOptions& copt,
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "-strict") {
       strict = true;
-    } else if (args[i] == "-transparent") {
-      cfg.via_rule = ViaRule::kTransparent;
     } else if (args[i] == "-baseline" && i + 1 < args.size()) {
       baseline_path = args[++i];
     } else if (args[i] == "-save-baseline" && i + 1 < args.size()) {
@@ -430,8 +424,7 @@ void print_spec_errors(const DiagnosticSink& sink) {
 
 /// Pull --check-threads/--via-rule out of `args` (any position, any mode):
 /// the one shared CheckOptions parser. Every mode that runs the checker —
-/// layout, --doctor, --lint, sweep, soak — consumes the result; the older
-/// per-mode `-transparent` stays as an alias for `--via-rule transparent`.
+/// layout, --doctor, --lint, sweep, soak — consumes the result.
 bool extract_check_options(std::vector<std::string>& args, CheckOptions& opt) {
   std::vector<std::string> rest;
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -534,32 +527,6 @@ int run_layout(const std::vector<std::string>& args, const CommonOptions& copt,
     std::cout << "checker: scanned " << result.check_report.bands
               << " band(s), " << result.check_report.points
               << " point claim(s)\n";
-
-  if (copt.obs_enabled()) {
-    // Profiled pipeline extras: the fold baseline the paper compares against
-    // and a lint pass, so the trace records every phase and the registry the
-    // full cost picture. The 2-layer baseline metrics are computed with the
-    // registry uninstalled so its gauges do not clobber the real run's.
-    obs::MetricsRegistry* registry = obs::MetricsRegistry::current();
-    obs::MetricsRegistry::uninstall();
-    LayoutMetrics m2 = compute_metrics(realize(ortho, {.L = 2}), ortho.graph);
-    if (registry != nullptr) registry->install();
-    const BaselineMetrics folded = fold_thompson(m2, L);
-    obs::gauge_set("fold.baseline_area", static_cast<double>(folded.area));
-    obs::gauge_set("fold.baseline_volume", static_cast<double>(folded.volume));
-    obs::gauge_set("fold.baseline_max_wire",
-                   static_cast<double>(folded.max_wire_length));
-
-    analysis::LintConfig lint_cfg;
-    lint_cfg.via_rule = ml.required_rule;
-    DiagnosticSink lint_sink(1024);
-    analysis::LintStats lint_stats =
-        analysis::lint_layout(ortho.graph, ml.geom, lint_cfg, lint_sink);
-    publish_sink_totals("lint", lint_sink);
-    if (copt.loud(2))
-      std::cout << "lint: " << lint_stats.reported << " finding(s), "
-                << lint_stats.suppressed << " suppressed\n";
-  }
 
   LayoutMetrics& m = result.metrics;
   if (copt.loud()) {

@@ -120,7 +120,10 @@ class CancelToken {
 };
 
 namespace detail {
-extern thread_local const CancelToken* tl_cancel;
+/// constinit: statically initialised, so no translation unit reaches it
+/// through a dynamic-init wrapper. Without it, UBSan builds reported a null
+/// store in ~CancelScope on checker and engine worker threads.
+extern thread_local constinit const CancelToken* tl_cancel;
 /// Clock polls happen every kPollStride checkpoint calls.
 inline constexpr std::uint32_t kPollStride = 256;
 /// Out-of-line slow path: stride bookkeeping + throw on a tripped token.

@@ -6,13 +6,11 @@
 //      expansion — box overlap is detected analytically with a per-layer
 //      interval sweep, so this phase is O(records log records).
 //   2. Band scan (parallel): records are binned into y-bands; each band
-//      claims its clipped points into a dense per-worker occupancy
-//      slab (owner array indexed by (row, x, layer)) — one probe per point,
-//      no hashing, no global sort. Bands whose slab would exceed the budget
-//      fall back to the sorted (point, edge) pair detector per band. The
-//      path is a pure function of the grid dimensions, so results stay
-//      deterministic. Terminal theft is checked by probing the slab under
-//      every node box.
+//      walks its layers in ascending order and claims that layer's clipped
+//      points into a dense per-worker owner slab indexed by (row, x) — one
+//      probe per point, no hashing, no sort of points. A slab never exceeds
+//      the cell budget, whatever the frame's width or layer count. Terminal
+//      theft is checked by probing the slab under every box of the layer.
 //   3. Connectivity (parallel over edges): a per-edge record index (CSR, in
 //      geometry order) lets each worker expand one edge at a time into its
 //      own reusable scratch, sorted by merging the few ascending runs its
@@ -29,6 +27,7 @@
 #include <cstddef>
 #include <exception>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <thread>
 #include <tuple>
@@ -48,8 +47,8 @@ using grid::key_y;
 using grid::key_z;
 using grid::kCoordMax;
 
-/// Per-worker dense slab budget: 4M owner cells (16 MiB). Bands whose
-/// (rows × width × layers) slab exceeds this use the sorted fallback.
+/// Per-worker slab budget: 4M owner cells (16 MiB). A band's one-layer
+/// (rows × width) slab never exceeds it.
 constexpr std::uint64_t kDenseCellBudget = std::uint64_t{1} << 22;
 /// Auto band sizing targets about this many bands.
 constexpr std::uint32_t kTargetBands = 64;
@@ -314,11 +313,6 @@ void parallel_for(std::uint32_t threads, std::size_t n, Fn&& fn) {
   if (first_ex) std::rethrow_exception(first_ex);
 }
 
-/// Records binned to one band for this pass (geometry indices).
-struct BandInput {
-  std::vector<std::uint32_t> segs, vias, boxes;
-};
-
 /// One band's scan output, merged into the sink in band-index order.
 struct BandResult {
   std::vector<Diagnostic> diags;
@@ -327,13 +321,20 @@ struct BandResult {
 
 /// Per-worker reusable scratch (never shared between concurrent bands).
 struct BandScratch {
-  std::vector<std::uint32_t> owner;    ///< dense slab: cell -> edge id + 1
+  std::vector<std::uint32_t> owner;    ///< one layer's slab: cell -> edge + 1
   std::vector<std::uint32_t> touched;  ///< claimed cells, for O(claims) reset
   /// Colliding claims (cell, edge) beyond the slab's first owner — the slab
   /// keeps one owner per cell, but terminal theft must see every claimant.
   std::vector<std::pair<std::uint32_t, EdgeId>> extras;
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> occ;  ///< fallback
+  std::vector<std::uint32_t> live;  ///< kBlocking via ids spanning the layer
 };
+
+/// Phase 2 names each record by an id: segments first, then vias, then
+/// boxes (geometry index offset by the ranges before it). A via has two
+/// ids, its lowest layer's and its top layer's (the second is used only
+/// under kTransparent, where a via claims just its two ends), so id order
+/// within a layer is segments, vias, boxes, each in geometry order.
+enum ItemKind { kSegItem, kViaItem, kBoxItem };
 
 struct BandContext {
   const Graph& g;
@@ -342,32 +343,60 @@ struct BandContext {
   std::uint32_t rows;
   std::uint32_t height;
   std::uint32_t width;
-  std::uint32_t layers;
   std::size_t diag_cap;
+  std::uint32_t nsegs, nvias;  ///< id ranges
+
+  ItemKind kind(std::uint32_t id) const {
+    return id < nsegs                ? kSegItem
+           : id - nsegs < 2 * nvias ? kViaItem
+                                    : kBoxItem;
+  }
+  const Via& via(std::uint32_t id) const {
+    return geom.vias[(id - nsegs) / 2];
+  }
+  const NodeBox& box(std::uint32_t id) const {
+    return geom.boxes[id - nsegs - 2 * nvias];
+  }
+  std::uint32_t layer(std::uint32_t id) const {
+    switch (kind(id)) {
+      case kSegItem: return geom.segs[id].layer;
+      case kViaItem: return (id - nsegs) % 2 ? via(id).z2 : via(id).z1;
+      default: return box(id).layer;
+    }
+  }
+  /// The record's first and last row.
+  std::pair<std::uint32_t, std::uint32_t> y_extent(std::uint32_t id) const {
+    switch (kind(id)) {
+      case kSegItem: return {geom.segs[id].y1, geom.segs[id].y2};
+      case kViaItem: return {via(id).y, via(id).y};
+      default: return {box(id).y, box(id).y + box(id).h - 1};
+    }
+  }
 };
 
-/// Dense path: claims probe a flat owner slab indexed (row, x, layer);
-/// terminal theft probes the slab under each box's cells.
-void scan_band_dense(const BandContext& ctx, std::uint32_t band,
-                     const BandInput& in, BandResult& out, BandScratch& sc) {
+/// Phase 2 for one band, one layer at a time. `items` holds the band's
+/// record ids in (layer, id) order. On each layer the segments, then
+/// the vias that claim it, claim cells of a (rows × width) owner
+/// slab, so a collision is one array probe and every cell sees its
+/// claimants in geometry order; the layer's boxes then probe the slab for
+/// terminal theft, and the touched cells are reset before the next layer.
+void scan_band(const BandContext& ctx, std::uint32_t band,
+               const std::vector<std::uint32_t>& items, BandResult& out,
+               BandScratch& sc) {
   const std::uint32_t y0 = band * ctx.rows;
   const std::uint32_t y1 = std::min(ctx.height, y0 + ctx.rows);
-  const std::uint64_t row_stride =
-      static_cast<std::uint64_t>(ctx.width) * ctx.layers;
-  const auto slab = static_cast<std::size_t>((y1 - y0) * row_stride);
+  const std::size_t slab = static_cast<std::size_t>(y1 - y0) * ctx.width;
   if (sc.owner.size() < slab) sc.owner.resize(slab, 0);
 
-  auto cell = [&](std::uint32_t x, std::uint32_t y, std::uint32_t z) {
-    return static_cast<std::size_t>((y - y0) * row_stride +
-                                    static_cast<std::uint64_t>(x) * ctx.layers +
-                                    (z - 1));
+  auto cell = [&](std::uint32_t x, std::uint32_t y) {
+    return static_cast<std::size_t>(y - y0) * ctx.width + x;
   };
   auto add_diag = [&](Diagnostic d) {
     if (out.diags.size() < ctx.diag_cap) out.diags.push_back(std::move(d));
   };
   auto claim = [&](std::uint32_t x, std::uint32_t y, std::uint32_t z,
                    EdgeId e) {
-    const std::size_t i = cell(x, y, z);
+    const std::size_t i = cell(x, y);
     std::uint32_t& o = sc.owner[i];
     if (o == 0) {
       o = e + 1;
@@ -381,136 +410,85 @@ void scan_band_dense(const BandContext& ctx, std::uint32_t band,
                                   .edge2 = e}));
     }
   };
-
-  for (std::uint32_t si : in.segs) {
-    poll_cancellation("check");
-    const WireSeg& s = ctx.geom.segs[si];
-    const std::uint32_t lo = std::max(s.y1, y0);
-    const std::uint32_t hi = std::min(s.y2, y1 - 1);
-    for (std::uint32_t yy = lo; yy <= hi; ++yy)
-      for (std::uint32_t xx = s.x1; xx <= s.x2; ++xx)
-        claim(xx, yy, s.layer, s.edge);
-  }
-  for (std::uint32_t vi : in.vias) {
-    const Via& v = ctx.geom.vias[vi];
-    if (ctx.rule == ViaRule::kBlocking) {
-      for (std::uint32_t zz = v.z1; zz <= v.z2; ++zz)
-        claim(v.x, v.y, zz, v.edge);
-    } else {
-      claim(v.x, v.y, v.z1, v.edge);
-      if (v.z2 != v.z1) claim(v.x, v.y, v.z2, v.edge);
-    }
-  }
-  // Wires on an active layer may only touch their endpoints' boxes.
-  for (std::uint32_t bi : in.boxes) {
-    poll_cancellation("check");
-    const NodeBox& b = ctx.geom.boxes[bi];
-    const std::uint32_t lo = std::max(b.y, y0);
-    const std::uint32_t hi = std::min(b.y + b.h - 1, y1 - 1);
-    for (std::uint32_t yy = lo; yy <= hi; ++yy)
-      for (std::uint32_t xx = b.x; xx < b.x + b.w; ++xx) {
-        const std::uint32_t o = sc.owner[cell(xx, yy, b.layer)];
-        if (o == 0) continue;
-        const Edge& ed = ctx.g.edge(o - 1);
-        if (b.node != ed.u && b.node != ed.v)
-          add_diag(at_point(xx, yy, b.layer, {.code = Code::kTerminalTheft,
-                                              .edge = o - 1,
-                                              .node = b.node}));
-      }
-  }
-  // Colliding claims displaced from the slab get the same theft test: the
-  // cell coordinates come back out of the flat index.
-  if (!sc.extras.empty()) {
-    std::sort(sc.extras.begin(), sc.extras.end());
-    sc.extras.erase(std::unique(sc.extras.begin(), sc.extras.end()),
-                    sc.extras.end());
-    for (const auto& [i, e] : sc.extras) {
-      const auto yy =
-          static_cast<std::uint32_t>(y0 + i / row_stride);
-      const auto rem = static_cast<std::uint32_t>(i % row_stride);
-      const std::uint32_t xx = rem / ctx.layers;
-      const std::uint32_t zz = rem % ctx.layers + 1;
-      const Edge& ed = ctx.g.edge(e);
-      for (std::uint32_t bi : in.boxes) {
-        const NodeBox& b = ctx.geom.boxes[bi];
-        if (b.layer != zz || !b.contains(xx, yy)) continue;
-        if (b.node != ed.u && b.node != ed.v)
-          add_diag(at_point(xx, yy, zz, {.code = Code::kTerminalTheft,
-                                         .edge = e,
-                                         .node = b.node}));
-      }
-    }
-    sc.extras.clear();
-  }
-  for (std::uint32_t i : sc.touched) sc.owner[i] = 0;
-  sc.touched.clear();
-}
-
-/// Fallback for bands whose dense slab would exceed the budget: the classic
-/// sorted (point, edge) pair detector, restricted to one band.
-void scan_band_sorted(const BandContext& ctx, std::uint32_t band,
-                      const BandInput& in, BandResult& out, BandScratch& sc) {
-  const std::uint32_t y0 = band * ctx.rows;
-  const std::uint32_t y1 = std::min(ctx.height, y0 + ctx.rows);
-  auto add_diag = [&](Diagnostic d) {
-    if (out.diags.size() < ctx.diag_cap) out.diags.push_back(std::move(d));
-  };
-  sc.occ.clear();
-  auto claim = [&](std::uint32_t x, std::uint32_t y, std::uint32_t z,
+  auto theft = [&](const NodeBox& b, std::uint32_t x, std::uint32_t y,
                    EdgeId e) {
-    sc.occ.emplace_back(key3(x, y, z), e);
-  };
-  for (std::uint32_t si : in.segs) {
-    poll_cancellation("check");
-    const WireSeg& s = ctx.geom.segs[si];
-    const std::uint32_t lo = std::max(s.y1, y0);
-    const std::uint32_t hi = std::min(s.y2, y1 - 1);
-    for (std::uint32_t yy = lo; yy <= hi; ++yy)
-      for (std::uint32_t xx = s.x1; xx <= s.x2; ++xx)
-        claim(xx, yy, s.layer, s.edge);
-  }
-  for (std::uint32_t vi : in.vias) {
-    const Via& v = ctx.geom.vias[vi];
-    if (ctx.rule == ViaRule::kBlocking) {
-      for (std::uint32_t zz = v.z1; zz <= v.z2; ++zz)
-        claim(v.x, v.y, zz, v.edge);
-    } else {
-      claim(v.x, v.y, v.z1, v.edge);
-      claim(v.x, v.y, v.z2, v.edge);
-    }
-  }
-  std::sort(sc.occ.begin(), sc.occ.end());
-  for (std::size_t i = 1; i < sc.occ.size(); ++i)
-    if (sc.occ[i].first == sc.occ[i - 1].first &&
-        sc.occ[i].second != sc.occ[i - 1].second)
-      add_diag(at_key(sc.occ[i].first, {.code = Code::kPointCollision,
-                                        .edge = sc.occ[i - 1].second,
-                                        .edge2 = sc.occ[i].second}));
-  sc.occ.erase(std::unique(sc.occ.begin(), sc.occ.end()), sc.occ.end());
-  out.points = sc.occ.size();
-
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> box_cells;
-  for (std::uint32_t bi : in.boxes) {
-    poll_cancellation("check");
-    const NodeBox& b = ctx.geom.boxes[bi];
-    const std::uint32_t lo = std::max(b.y, y0);
-    const std::uint32_t hi = std::min(b.y + b.h - 1, y1 - 1);
-    for (std::uint32_t yy = lo; yy <= hi; ++yy)
-      for (std::uint32_t xx = b.x; xx < b.x + b.w; ++xx)
-        box_cells.emplace_back(key3(xx, yy, b.layer), bi);
-  }
-  std::sort(box_cells.begin(), box_cells.end());
-  for (const auto& [k, e] : sc.occ) {
-    const auto it = std::lower_bound(
-        box_cells.begin(), box_cells.end(), k,
-        [](const auto& p, std::uint64_t key) { return p.first < key; });
-    if (it == box_cells.end() || it->first != k) continue;
-    const NodeBox& b = ctx.geom.boxes[it->second];
     const Edge& ed = ctx.g.edge(e);
     if (b.node != ed.u && b.node != ed.v)
-      add_diag(at_key(k, {.code = Code::kTerminalTheft,
-                          .edge = e,
-                          .node = b.node}));
+      add_diag(at_point(x, y, b.layer, {.code = Code::kTerminalTheft,
+                                        .edge = e,
+                                        .node = b.node}));
+  };
+
+  const std::size_t n = items.size();
+  std::uint32_t z = 0;
+  for (std::size_t i = 0; i < n || !sc.live.empty();) {
+    // The next layer with work: the next item's, or the next one a live
+    // via column still spans.
+    z = sc.live.empty() ? ctx.layer(items[i]) : z + 1;
+    poll_cancellation("check");
+    for (; i < n && ctx.kind(items[i]) == kSegItem &&
+           ctx.layer(items[i]) == z;
+         ++i) {
+      poll_cancellation("check");
+      const WireSeg& s = ctx.geom.segs[items[i]];
+      const std::uint32_t lo = std::max(s.y1, y0);
+      const std::uint32_t hi = std::min(s.y2, y1 - 1);
+      for (std::uint32_t yy = lo; yy <= hi; ++yy)
+        for (std::uint32_t xx = s.x1; xx <= s.x2; ++xx)
+          claim(xx, yy, z, s.edge);
+    }
+    // Under kTransparent each via end claims its own layer. Under kBlocking
+    // a via joins the live list at its lowest layer, claims every layer of
+    // its column, and leaves after its top one.
+    const auto joined = static_cast<std::ptrdiff_t>(sc.live.size());
+    for (; i < n && ctx.kind(items[i]) == kViaItem &&
+           ctx.layer(items[i]) == z;
+         ++i) {
+      const Via& v = ctx.via(items[i]);
+      if (ctx.rule == ViaRule::kBlocking)
+        sc.live.push_back(items[i]);
+      else
+        claim(v.x, v.y, z, v.edge);
+    }
+    std::inplace_merge(sc.live.begin(), sc.live.begin() + joined,
+                       sc.live.end());
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < sc.live.size(); ++k) {
+      const Via& v = ctx.via(sc.live[k]);
+      claim(v.x, v.y, z, v.edge);
+      if (v.z2 != z) sc.live[kept++] = sc.live[k];
+    }
+    sc.live.resize(kept);
+    // Wires on an active layer may only touch their endpoints' boxes.
+    const std::size_t boxes_begin = i;
+    for (; i < n && ctx.layer(items[i]) == z; ++i) {
+      poll_cancellation("check");
+      const NodeBox& b = ctx.box(items[i]);
+      const std::uint32_t lo = std::max(b.y, y0);
+      const std::uint32_t hi = std::min(b.y + b.h - 1, y1 - 1);
+      for (std::uint32_t yy = lo; yy <= hi; ++yy)
+        for (std::uint32_t xx = b.x; xx < b.x + b.w; ++xx)
+          if (const std::uint32_t o = sc.owner[cell(xx, yy)]; o != 0)
+            theft(b, xx, yy, o - 1);
+    }
+    // Colliding claims displaced from the slab get the same theft test: the
+    // cell coordinates come back out of the flat index.
+    if (!sc.extras.empty()) {
+      std::sort(sc.extras.begin(), sc.extras.end());
+      sc.extras.erase(std::unique(sc.extras.begin(), sc.extras.end()),
+                      sc.extras.end());
+      for (const auto& [c, e] : sc.extras) {
+        const auto yy = static_cast<std::uint32_t>(y0 + c / ctx.width);
+        const auto xx = static_cast<std::uint32_t>(c % ctx.width);
+        for (std::size_t k = boxes_begin; k < i; ++k) {
+          const NodeBox& b = ctx.box(items[k]);
+          if (b.contains(xx, yy)) theft(b, xx, yy, e);
+        }
+      }
+      sc.extras.clear();
+    }
+    for (std::uint32_t c : sc.touched) sc.owner[c] = 0;
+    sc.touched.clear();
   }
 }
 
@@ -718,62 +696,69 @@ CheckReport Checker::check(DiagnosticSink& sink) {
   frame_scan(g_, geom_, reporter, fr);
   if (sink.full()) return finalize();
 
-  // Band layout: ~kTargetBands bands, thinned further so one band's dense
-  // slab fits the cell budget. When one row's slab alone exceeds the budget
-  // (or the grid has no columns), every band takes the sorted path.
+  // Band layout: ~kTargetBands bands, thinned further so one band's
+  // one-layer slab fits the cell budget. Since width <= kCoordMax < 2^20, a
+  // band always keeps at least 4 rows.
   const std::uint32_t h = std::max<std::uint32_t>(geom_.height, 1);
-  const std::uint64_t slab = static_cast<std::uint64_t>(geom_.width) *
-                             std::max<std::uint32_t>(geom_.num_layers, 1);
-  const bool dense = slab != 0 && slab <= kDenseCellBudget;
-  std::uint32_t rows =
-      std::max<std::uint32_t>(1, (h + kTargetBands - 1) / kTargetBands);
-  if (dense)
-    rows = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(rows, kDenseCellBudget / slab));
+  const auto rows = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+      (h + kTargetBands - 1) / kTargetBands,
+      kDenseCellBudget / std::max<std::uint32_t>(geom_.width, 1)));
   const std::uint32_t num_bands = (h + rows - 1) / rows;
   rep.bands = num_bands;
   auto band_of = [&](std::uint32_t y) {
     return std::min(y / rows, num_bands - 1);
   };
 
-  // Phase 2: bin records into bands, scan them, merge in band order.
+  // Phase 2: bin the ids of the records whose frame is sound into bands in
+  // (layer, id) order, the order scan_band walks them (a counting sort by
+  // layer keeps id order within a layer); scan, merge in band order.
   const std::uint32_t num_edges = g_.num_edges();
-  std::vector<BandInput> inputs(num_bands);
-  for (std::size_t si = 0; si < geom_.segs.size(); ++si) {
-    const WireSeg& s = geom_.segs[si];
-    if (s.edge >= num_edges || !fr.edge_frame_ok[s.edge]) continue;
-    for (std::uint32_t b = band_of(s.y1); b <= band_of(s.y2); ++b)
-      inputs[b].segs.push_back(static_cast<std::uint32_t>(si));
-  }
-  for (std::size_t vi = 0; vi < geom_.vias.size(); ++vi) {
-    const Via& v = geom_.vias[vi];
-    if (v.edge >= num_edges || !fr.edge_frame_ok[v.edge]) continue;
-    inputs[band_of(v.y)].vias.push_back(static_cast<std::uint32_t>(vi));
-  }
-  for (std::uint32_t bi : fr.reg_boxes) {
-    const NodeBox& b = geom_.boxes[bi];
-    for (std::uint32_t bb = band_of(b.y); bb <= band_of(b.y + b.h - 1); ++bb)
-      inputs[bb].boxes.push_back(bi);
-  }
-
-  const std::uint32_t nthreads = resolve_threads(opt_.threads);
-  std::vector<BandResult> results(num_bands);
   const BandContext ctx{g_,
                         geom_,
                         opt_.via_rule,
                         rows,
                         geom_.height,
                         geom_.width,
-                        geom_.num_layers,
-                        std::max<std::size_t>(sink.capacity(), 1)};
+                        std::max<std::size_t>(sink.capacity(), 1),
+                        static_cast<std::uint32_t>(geom_.segs.size()),
+                        static_cast<std::uint32_t>(geom_.vias.size())};
+  auto checked = [&](EdgeId e) {
+    return e < num_edges && fr.edge_frame_ok[e] != 0;
+  };
+  auto each_id = [&](auto&& fn) {
+    for (std::uint32_t si = 0; si < ctx.nsegs; ++si)
+      if (checked(geom_.segs[si].edge)) fn(si);
+    for (std::uint32_t vi = 0; vi < ctx.nvias; ++vi) {
+      const Via& v = geom_.vias[vi];
+      if (!checked(v.edge)) continue;
+      fn(ctx.nsegs + 2 * vi);
+      if (opt_.via_rule == ViaRule::kTransparent && v.z2 != v.z1)
+        fn(ctx.nsegs + 2 * vi + 1);
+    }
+    for (std::uint32_t bi : fr.reg_boxes)
+      fn(ctx.nsegs + 2 * ctx.nvias + bi);
+  };
+  std::vector<std::vector<std::uint32_t>> inputs(num_bands);
+  {
+    std::vector<std::size_t> at(std::size_t{geom_.num_layers} + 2, 0);
+    each_id([&](std::uint32_t id) { ++at[ctx.layer(id) + 1]; });
+    std::partial_sum(at.begin(), at.end(), at.begin());
+    std::vector<std::uint32_t> by_layer(at.back());
+    each_id([&](std::uint32_t id) { by_layer[at[ctx.layer(id)]++] = id; });
+    for (std::uint32_t id : by_layer) {
+      const auto [top, bottom] = ctx.y_extent(id);
+      for (std::uint32_t b = band_of(top); b <= band_of(bottom); ++b)
+        inputs[b].push_back(id);
+    }
+  }
+
+  const std::uint32_t nthreads = resolve_threads(opt_.threads);
+  std::vector<BandResult> results(num_bands);
   std::vector<BandScratch> scratch(
       std::max<std::uint32_t>(1, std::min(nthreads, num_bands)));
   parallel_for(nthreads, num_bands, [&](std::size_t b, std::uint32_t w) {
-    const auto band = static_cast<std::uint32_t>(b);
-    if (dense)
-      scan_band_dense(ctx, band, inputs[b], results[b], scratch[w]);
-    else
-      scan_band_sorted(ctx, band, inputs[b], results[b], scratch[w]);
+    scan_band(ctx, static_cast<std::uint32_t>(b), inputs[b], results[b],
+              scratch[w]);
   });
   for (const BandResult& r : results) {
     rep.points += r.points;

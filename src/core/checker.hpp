@@ -19,12 +19,13 @@
 // point-disjoint, while overlaps and knock-knees would collide.
 //
 // Occupancy model (DESIGN.md §7.13): each pass partitions the layout's rows
-// into y-bands; each band owns a dense structure-of-arrays occupancy slab
-// indexed by (row, x, layer), so collision detection is one array probe per
-// claimed point instead of a hash insert. Bands are independent and are
-// checked in parallel; per-band results are merged in band-index order, so
-// the diagnostic sequence is byte-identical for any worker count. Every
-// pass is a full check of the current geometry.
+// into y-bands; a band is scanned one layer at a time through a dense owner
+// slab indexed by (row, x), so collision detection is one array probe per
+// claimed point instead of a hash insert, and the slab stays within a fixed
+// cell budget for any frame. Bands are independent and are checked in
+// parallel; per-band results are merged in band-index order, so the
+// diagnostic sequence is byte-identical for any worker count. Every pass is
+// a full check of the current geometry.
 #pragma once
 
 #include <cstdint>
@@ -73,8 +74,9 @@ class Checker {
 
   /// Full pass: every band scanned, every edge's connectivity verified.
   /// Violations append to `sink` in deterministic order (frame scan in
-  /// record order, then band results in band-index order, then connectivity
-  /// in edge-id order); producers stop once the sink is full.
+  /// record order, then band results in band-index order and layer-major
+  /// within a band, then connectivity in edge-id order); producers stop
+  /// once the sink is full.
   CheckReport check(DiagnosticSink& sink);
   /// First-failure convenience: capacity-1 sink, report carries the error.
   CheckReport check();

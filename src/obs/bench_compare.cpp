@@ -166,7 +166,7 @@ DiffReport diff_bench(const BenchFile& baseline, const BenchFile& current,
     if (bit == baseline.points.end() || cit == current.points.end()) {
       DiffEntry e;
       e.key = k;
-      e.metric = "*";
+      e.metric.assign(1, '*');  // `= "*"` trips a false GCC 12 -Wrestrict
       e.verdict = bit == baseline.points.end() ? DiffVerdict::kNew
                                                : DiffVerdict::kMissing;
       const BenchPoint& only =

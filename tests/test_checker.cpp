@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/gridkey.hpp"
 
 namespace mlvl {
 namespace {
@@ -241,6 +243,67 @@ TEST(CheckerApi, FirstFailureConvenienceCarriesError) {
   EXPECT_FALSE(rep.ok);
   EXPECT_FALSE(rep.error.empty());
   EXPECT_FALSE(static_cast<bool>(rep));
+}
+
+
+// ---- Wide frames -----------------------------------------------------------
+// A band's slab covers one layer, so its size depends on the frame width but
+// never on the layer count: a frame kCoordMax wide at L = 8 (8.4 M cells per
+// row over all layers) is scanned like a narrow one.
+
+/// Three edges on a 16 × 12, L = 8 grid, in a frame `width` wide: edge 0
+/// climbs to layer 3 and back; edge 1's layer-3 spur crosses it at (7,1,3),
+/// inside node 7's layer-3 box; edge 2 cuts through node 6's box and has a
+/// stranded run on layer 8. Each colliding cell is claimed once per edge,
+/// lower edge first.
+struct WideFrame {
+  Graph g{8};
+  LayoutGeometry geom;
+
+  explicit WideFrame(std::uint32_t width) {
+    g.add_edge(0, 1);
+    g.add_edge(2, 3);
+    g.add_edge(4, 5);
+    geom.num_layers = 8;
+    geom.width = width;
+    geom.height = 12;
+    geom.boxes = {{0, 1, 2, 2, 0},  {12, 1, 2, 2, 1}, {0, 5, 2, 2, 2},
+                  {12, 5, 2, 2, 3}, {0, 9, 2, 2, 4},  {12, 9, 2, 2, 5},
+                  {5, 7, 2, 1, 6},  {7, 1, 1, 1, 7, 3}};
+    geom.segs = {{1, 1, 3, 1, 1, 0},   {3, 1, 10, 1, 3, 0},
+                 {10, 1, 12, 1, 1, 0}, {1, 5, 12, 5, 1, 1},
+                 {7, 1, 7, 5, 3, 1},   {1, 9, 12, 9, 1, 2},
+                 {5, 7, 5, 9, 1, 2},   {2, 11, 4, 11, 8, 2}};
+    geom.vias = {{3, 1, 1, 3, 0}, {10, 1, 1, 3, 0}, {7, 5, 1, 3, 1}};
+  }
+};
+
+std::vector<std::string> sorted(std::vector<std::string> v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+TEST(CheckerWideFrame, MatchesTheSameRecordsInANarrowFrame) {
+  const WideFrame wide(grid::kCoordMax), narrow(16);
+  for (ViaRule rule : {ViaRule::kBlocking, ViaRule::kTransparent})
+    for (std::uint32_t threads : {1u, 4u}) {
+      const CheckOptions opt{.via_rule = rule, .threads = threads};
+      DiagnosticSink wide_sink(64), narrow_sink(64);
+      const CheckReport w = Checker(wide.g, wide.geom, opt).check(wide_sink);
+      const CheckReport n =
+          Checker(narrow.g, narrow.geom, opt).check(narrow_sink);
+      EXPECT_FALSE(w.ok);
+      EXPECT_EQ(w.ok, n.ok);
+      EXPECT_EQ(w.points, n.points);
+      EXPECT_EQ(w.bands, n.bands);
+      EXPECT_EQ(sorted(rendered(wide_sink)), sorted(rendered(narrow_sink)));
+      // One collision, three thefts (two of them on the colliding cell),
+      // one disconnected edge.
+      EXPECT_EQ(wide_sink.count(Code::kPointCollision), 1u);
+      EXPECT_EQ(wide_sink.count(Code::kTerminalTheft), 3u);
+      EXPECT_EQ(wide_sink.count(Code::kEdgeDisconnected), 1u);
+      EXPECT_EQ(wide_sink.size(), 5u);
+    }
 }
 
 

@@ -87,10 +87,16 @@ std::vector<FuzzCase> fuzz_cases() {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, Fuzz, testing::ValuesIn(fuzz_cases()),
                          [](const testing::TestParamInfo<FuzzCase>& info) {
-                           return "n" + std::to_string(info.param.nodes) + "m" +
-                                  std::to_string(info.param.edges) + "L" +
-                                  std::to_string(info.param.L) + "i" +
-                                  std::to_string(info.index);
+                           // Appended: GCC 12 at -O3 flags
+                           // `"n" + std::string` with a false -Wrestrict.
+                           return std::string("n")
+                               .append(std::to_string(info.param.nodes))
+                               .append("m")
+                               .append(std::to_string(info.param.edges))
+                               .append("L")
+                               .append(std::to_string(info.param.L))
+                               .append("i")
+                               .append(std::to_string(info.index));
                          });
 
 }  // namespace

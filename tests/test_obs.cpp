@@ -445,7 +445,7 @@ TEST(UsageText, NamesTheInstalledBinaryAndEveryFlagFamily) {
   for (const char* needle :
        {"--doctor", "--lint", "--trace", "--metrics", "--quiet", "-q", "-v",
         "-L <layers>", "-svg", "-congestion", "-nocheck", "-repair",
-        "-baseline", "-save-baseline", "-disable", "-transparent",
+        "-baseline", "-save-baseline", "-disable",
         "sweep <spec-range>", "-j <N>", "-nocache", "hypercube(n=4..8)",
         "--deadline <ms>", "--sweep-deadline <ms>", "--cache-capacity <N>",
         "--journal <file>", "--resume <file>", "layout_tool soak",
@@ -459,7 +459,8 @@ TEST(UsageText, NamesTheInstalledBinaryAndEveryFlagFamily) {
         << "usage text lost: " << needle;
   // Flags the tool rejects must not be advertised.
   for (const char* gone : {"--retries", "--backoff", "--cache-capacity-bytes",
-                           "--soft-capacity", "-fault-rate", "-seed"})
+                           "--soft-capacity", "-fault-rate", "-seed",
+                           "-transparent"})
     EXPECT_EQ(usage.find(gone), std::string::npos)
         << "usage text still lists: " << gone;
 }

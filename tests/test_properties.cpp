@@ -48,8 +48,14 @@ INSTANTIATE_TEST_SUITE_P(
                     KaryParam{5, 2, 10}, KaryParam{6, 2, 5},
                     KaryParam{7, 2, 4}, KaryParam{2, 4, 4}, KaryParam{8, 1, 2}),
     [](const testing::TestParamInfo<KaryParam>& info) {
-      return "k" + std::to_string(info.param.k) + "n" +
-             std::to_string(info.param.n) + "L" + std::to_string(info.param.L);
+      // Built by appending: GCC 12 at -O3 flags `"k" + std::string` with a
+      // false -Wrestrict.
+      return std::string("k")
+          .append(std::to_string(info.param.k))
+          .append("n")
+          .append(std::to_string(info.param.n))
+          .append("L")
+          .append(std::to_string(info.param.L));
     });
 
 class HypercubeSweep : public testing::TestWithParam<std::uint32_t> {};
