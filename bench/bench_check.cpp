@@ -3,7 +3,8 @@
 // consolidated baseline so bench-diff gates the check phase like any other
 // phase, and a paper-scale fixture (hypercube(12) at L = 2, the Thompson
 // model) adds baseline rows for the full check and for lint, whose
-// knock-knee rule runs only at L = 2.
+// knock-knee rule runs only at L = 2. A repair row times rip-up and
+// re-route of a seeded damaged hypercube(10) at L = 4 plus its fresh check.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -15,6 +16,8 @@
 #include "core/checker.hpp"
 #include "layout/hypercube_layout.hpp"
 #include "layout/kary_layout.hpp"
+#include "robustness/fault_injector.hpp"
+#include "robustness/repair.hpp"
 
 namespace {
 
@@ -47,6 +50,15 @@ CheckFixture& paper_scale_fixture() {
   static CheckFixture f = [] {
     CheckFixture fx{layout::layout_hypercube(12), {}};
     fx.ml = realize(fx.o, {.L = 2});
+    return fx;
+  }();
+  return f;
+}
+
+CheckFixture& repair_fixture() {
+  static CheckFixture f = [] {
+    CheckFixture fx{layout::layout_hypercube(10), {}};
+    fx.ml = realize(fx.o, {.L = 4});
     return fx;
   }();
   return f;
@@ -148,6 +160,58 @@ void record_lint_row(const char* family, CheckFixture& f) {
   bench::BenchRecorder::instance().add(row);
 }
 
+/// Baseline row: wall statistics of repair_layout on a copy of the layout
+/// with eight seeded repairable faults, plus the fresh check that verifies
+/// the result. The cost columns carry the repaired layout's dimensions and
+/// via count plus, as wiring_area, its total wire length, so a repair that
+/// routes differently fails the diff.
+void record_repair_row(const char* family, CheckFixture& f) {
+  using robustness::FaultKind;
+  constexpr FaultKind kRepairable[] = {
+      FaultKind::kShiftSegmentOffTrack, FaultKind::kSwapSegmentLayer,
+      FaultKind::kRelabelSegment,       FaultKind::kDiagonalSegment,
+      FaultKind::kDropVia,              FaultKind::kDuplicateViaForeign,
+      FaultKind::kTruncateViaSpan,      FaultKind::kInvertViaSpan,
+      FaultKind::kUnrouteEdge,
+  };
+  const bench::BenchConfig& cfg = bench::config();
+  const CheckOptions check_opt{.via_rule = f.ml.required_rule};
+  LayoutGeometry damaged = f.ml.geom;
+  for (std::uint64_t i = 0; i < 8; ++i)
+    if (!robustness::inject(kRepairable[i % std::size(kRepairable)],
+                            f.o.graph, damaged, 1000 + i))
+      throw std::runtime_error("bench_check: fault site not found");
+  if (Checker(f.o.graph, damaged, check_opt).check().ok)
+    throw std::runtime_error("bench_check: seeded faults left no violation");
+
+  bench::BenchRecord row;
+  row.family = std::string(family) + "-repair";
+  row.L = f.ml.geom.num_layers;
+  row.nodes = f.o.graph.num_nodes();
+  LayoutGeometry geom;
+  std::vector<double> samples;
+  for (std::uint32_t i = 0; i < cfg.warmup + cfg.repeats; ++i) {
+    geom = damaged;
+    const auto t0 = std::chrono::steady_clock::now();
+    const robustness::RepairReport rep = robustness::repair_layout(
+        f.o.graph, geom, {.rule = f.ml.required_rule});
+    const CheckReport check = Checker(f.o.graph, geom, check_opt).check();
+    const auto t1 = std::chrono::steady_clock::now();
+    if (!rep.ok || !check.ok)
+      throw std::runtime_error("bench_check: repair left the layout invalid: " +
+                               check.error);
+    if (i >= cfg.warmup)
+      samples.push_back(
+          std::chrono::duration<double, std::milli>(t1 - t0).count());
+  }
+  bench::apply_wall_stats(row, std::move(samples));
+  row.area = geom.area();
+  row.volume = geom.volume();
+  row.vias = geom.vias.size();
+  for (const WireSeg& s : geom.segs) row.wiring_area += s.length();
+  bench::BenchRecorder::instance().add(row);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -156,6 +220,7 @@ int main(int argc, char** argv) {
   record_baseline_row("kary", kary_fixture());
   record_baseline_row("hypercube", paper_scale_fixture());
   record_lint_row("hypercube", paper_scale_fixture());
+  record_repair_row("hypercube", repair_fixture());
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -32,6 +32,11 @@ struct RepairOptions {
   std::uint32_t check_threads = 1;
   /// Router give-up threshold: cells visited per edge before declaring it
   /// unroutable (bounds worst-case work on dense or adversarial layouts).
+  /// It also bounds memory: a route searches a window of at most 8x this
+  /// many cells (width x height x layers, one byte each), and an edge that
+  /// cannot be decided inside it is reported failed. The default window
+  /// holds any frame up to 32 Mi cells whole (hypercube(12) at L = 2 is
+  /// 20.5 M).
   std::uint64_t max_search_cells = 4u << 20;
 };
 
