@@ -23,8 +23,8 @@ void print_tables() {
     Orthogonal2Layer o = layout::layout_ccc(n);
     const std::uint64_t N = o.graph.num_nodes();
     for (std::uint32_t L : {2u, 4u, 8u}) {
-      const bench::Measured m = bench::measure(o, L, /*verify=*/N <= 512,
-                                               /*pack_extras=*/true, "ccc");
+      const bench::Measured m =
+          bench::measure(o, L, /*pack_extras=*/true, "ccc");
       const double pa = formulas::ccc_area(N, L);
       t.begin_row().cell("CCC").cell(std::uint64_t(n)).cell(N)
           .cell(std::uint64_t(L)).cell(pa, 0)
@@ -36,8 +36,8 @@ void print_tables() {
     Orthogonal2Layer o = layout::layout_reduced_hypercube(n);
     const std::uint64_t N = o.graph.num_nodes();
     for (std::uint32_t L : {2u, 4u}) {
-      const bench::Measured m = bench::measure(o, L, /*verify=*/N <= 512,
-                                               /*pack_extras=*/true, "rh");
+      const bench::Measured m =
+          bench::measure(o, L, /*pack_extras=*/true, "rh");
       const double pa = formulas::ccc_area(N, L);
       t.begin_row().cell("RH").cell(std::uint64_t(n)).cell(N)
           .cell(std::uint64_t(L)).cell(pa, 0)
@@ -54,8 +54,8 @@ void print_tables() {
   for (std::uint32_t n : {4u, 5u, 6u}) {
     Orthogonal2Layer ccc = layout::layout_ccc(n);
     Orthogonal2Layer hc = layout::layout_hypercube(n);
-    const bench::Measured mc = bench::measure(ccc, 4, false);
-    const bench::Measured mh = bench::measure(hc, 4, false);
+    const bench::Measured mc = bench::measure(ccc, 4);
+    const bench::Measured mh = bench::measure(hc, 4);
     const double nc = ccc.graph.num_nodes(), nh = hc.graph.num_nodes();
     const double per_node_ratio = (double(mh.metrics.wiring_area) / (nh * nh)) /
                                   (double(mc.metrics.wiring_area) / (nc * nc));

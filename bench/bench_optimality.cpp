@@ -40,7 +40,7 @@ void print_tables() {
   rows.push_back({"4-ary 4-cube", layout::layout_kary(4, 4),
                   analysis::kary_bisection(4, 4)});
   for (Row& r : rows) {
-    const bench::Measured m = bench::measure(r.o, 2, /*verify=*/false);
+    const bench::Measured m = bench::measure(r.o, 2);
     const double bound = double(r.B) * r.B;
     t.begin_row().cell(r.name).cell(std::uint64_t(r.o.graph.num_nodes()))
         .cell(r.B).cell(bound, 0).cell(std::uint64_t(m.metrics.wiring_area))
@@ -56,7 +56,7 @@ void print_tables() {
                       "meas/bound"});
   for (Row& r : rows) {
     for (std::uint32_t L : {4u, 8u}) {
-      const bench::Measured m = bench::measure(r.o, L, /*verify=*/false);
+      const bench::Measured m = bench::measure(r.o, L);
       const double bound = analysis::area_lower_bound(r.B, L);
       m2.begin_row().cell(r.name).cell(std::uint64_t(L)).cell(bound, 0)
           .cell(std::uint64_t(m.metrics.wiring_area))

@@ -11,17 +11,27 @@
 //      probe per point, no hashing, no sort of points. A slab never exceeds
 //      the cell budget, whatever the frame's width or layer count. Terminal
 //      theft is checked by probing the slab under every box of the layer.
-//   3. Connectivity (parallel over edges): a per-edge record index (CSR, in
-//      geometry order) lets each worker expand one edge at a time into its
-//      own reusable scratch, sorted by merging the few ascending runs its
-//      records leave. Union-find over the sorted, deduplicated points finds
-//      +x neighbours adjacent and +y/+z neighbours by forward cursors.
+//   3. Connectivity (parallel over edges, record-level): a per-edge record
+//      index (CSR, in geometry order) hands each worker one edge at a time.
+//      Every record is an integer box (a segment [x1,x2]×[y1,y2]×[layer], a
+//      via column [x]×[y]×[z1,z2]); two records join when their per-axis
+//      gaps sum to at most 1, which is exactly 6-adjacency of some pair of
+//      their points. Union-find runs over the records: collinear runs are
+//      merged per line, parallel runs on neighbouring lines are paired by a
+//      two-pointer walk, and crossing runs by a sort-and-sweep, so an edge
+//      costs O(R log R + contacts) and its scratch follows its record count
+//      R, never its wire length. The stranded point reported is the smallest
+//      key outside the component of the edge's smallest key, both of them
+//      record starts.
+//   Each phase runs under its own span (check.frame / check.scan /
+//   check.connect) on the calling thread.
 // Per-band and per-edge results are merged into the sink in band-index /
 // edge-id order, which makes the diagnostic sequence independent of the
 // worker count.
 #include "core/checker.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -29,6 +39,7 @@
 #include <mutex>
 #include <numeric>
 #include <optional>
+#include <set>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -521,130 +532,286 @@ EdgeRecords index_edge_records(const LayoutGeometry& geom,
   return idx;
 }
 
-/// Per-worker reusable phase-3 scratch: one edge's points at a time.
-struct EdgeScratch {
-  /// (first key, record id, layer): a segment, or one layer of a via.
-  std::vector<std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>> pieces;
-  std::vector<std::uint64_t> pts, merged;
-  std::vector<std::uint32_t> runs, parent;
+/// One record of an edge as an integer box, inclusive per axis (x, y, z): a
+/// segment spans [x1,x2]×[y1,y2]×[layer], a via column [x]×[y]×[z1,z2].
+/// `rec` names the record's union-find slot; `order` is its sort key as a
+/// run (see `run_order`).
+struct RecBox {
+  std::array<std::uint32_t, 3> lo, hi;
+  std::uint32_t rec;
+  std::uint64_t order = 0;
 };
 
-/// Fills sc.pts with edge e's points, sorted and deduplicated. Every segment
-/// expands to ascending keys, and so does each layer of a via, so the pieces
-/// are laid out by first key; what overlap is left splits the array into a
-/// few ascending runs, which pairwise merge passes put in order.
-void expand_edge(const LayoutGeometry& geom, EdgeId e, const EdgeRecords& idx,
-                 EdgeScratch& sc) {
-  const auto nsegs = static_cast<std::uint32_t>(geom.segs.size());
-  sc.pieces.clear();
-  for (std::uint32_t r = idx.off[e]; r < idx.off[e + 1]; ++r) {
-    const std::uint32_t id = idx.ids[r];
-    if (id < nsegs) {
-      const WireSeg& s = geom.segs[id];
-      sc.pieces.emplace_back(key3(s.x1, s.y1, s.layer), id, s.layer);
-    } else {  // full column: vias always connect
-      const Via& v = geom.vias[id - nsegs];
-      for (std::uint32_t zz = v.z1; zz <= v.z2; ++zz)
-        sc.pieces.emplace_back(key3(v.x, v.y, zz), id, zz);
-    }
-  }
-  std::sort(sc.pieces.begin(), sc.pieces.end());
-
-  std::vector<std::uint64_t>& p = sc.pts;
-  p.clear();
-  sc.runs.clear();
-  for (const auto& [first, id, z] : sc.pieces) {
-    if (p.empty() || first < p.back())
-      sc.runs.push_back(static_cast<std::uint32_t>(p.size()));
-    if (id >= nsegs) {
-      p.push_back(first);
-      continue;
-    }
-    const WireSeg& s = geom.segs[id];
-    for (std::uint32_t yy = s.y1; yy <= s.y2; ++yy)
-      for (std::uint32_t xx = s.x1; xx <= s.x2; ++xx)
-        p.push_back(key3(xx, yy, z));
-  }
-  sc.runs.push_back(static_cast<std::uint32_t>(p.size()));
-  while (sc.runs.size() > 2) {  // runs holds run starts plus the end
-    sc.merged.resize(p.size());
-    std::size_t out = 0;
-    for (std::size_t j = 0; j + 1 < sc.runs.size(); j += 2) {
-      const std::uint32_t a = sc.runs[j], b = sc.runs[j + 1];
-      const std::uint32_t c = j + 2 < sc.runs.size() ? sc.runs[j + 2] : b;
-      std::merge(p.begin() + a, p.begin() + b, p.begin() + b, p.begin() + c,
-                 sc.merged.begin() + a);
-      sc.runs[out++] = a;
-    }
-    sc.runs[out++] = sc.runs.back();
-    sc.runs.resize(out);
-    p.swap(sc.merged);
-  }
-  p.erase(std::unique(p.begin(), p.end()), p.end());
+/// Distance between two boxes along one axis: 0 when their extents meet.
+std::uint32_t axis_gap(const RecBox& a, const RecBox& b, int axis) {
+  if (a.lo[axis] > b.hi[axis]) return a.lo[axis] - b.hi[axis];
+  if (b.lo[axis] > a.hi[axis]) return b.lo[axis] - a.hi[axis];
+  return 0;
 }
 
-/// Phase 3 for one edge: expand its records into the worker's scratch, then
-/// union-find over the sorted, deduplicated points. Returns at most one
-/// diagnostic (unrouted / disconnected / misses-terminal).
-std::optional<Diagnostic> verify_edge(const Graph& g, const LayoutGeometry& geom,
-                                      EdgeId e, const EdgeRecords& idx,
-                                      const std::vector<const NodeBox*>& box_of,
-                                      EdgeScratch& sc) {
-  poll_cancellation("check");
-  expand_edge(geom, e, idx, sc);
-  const std::vector<std::uint64_t>& p = sc.pts;
-  if (p.empty()) return Diagnostic{.code = Code::kEdgeUnrouted, .edge = e};
+/// The join rule: some point of `a` and some point of `b` are equal or
+/// 6-adjacent exactly when the per-axis gaps sum to at most 1.
+bool joins(const RecBox& a, const RecBox& b) {
+  return axis_gap(a, b, 0) + axis_gap(a, b, 1) + axis_gap(a, b, 2) <= 1;
+}
 
-  // Connectivity by union-find over the sorted keys. x sits in the key's low
-  // bits, so the +x neighbour (if present) is the next element. The +y and
-  // +z neighbours, p[i] + step, grow with i, so each is found by a cursor
-  // that only moves forward. Every adjacent pair is seen from its lower
-  // endpoint, so three probes per point cover the 6-neighbourhood.
-  const auto n = static_cast<std::uint32_t>(p.size());
-  std::vector<std::uint32_t>& parent = sc.parent;
-  parent.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) parent[i] = i;
-  auto find = [&](std::uint32_t i) {
+/// Whether the inclusive range [lo, hi] holds a coordinate c with
+/// `c >= start && c < start + len`, the test `NodeBox::contains` makes
+/// (including its unsigned wrap-around).
+bool range_meets(std::uint32_t lo, std::uint32_t hi, std::uint32_t start,
+                 std::uint32_t len) {
+  const std::uint32_t c = std::max(lo, start);
+  return c <= hi && c < start + len;
+}
+
+/// Whether some point of `r` lies on the box's layer inside its footprint.
+bool touches(const RecBox& r, const NodeBox& b) {
+  return r.lo[2] <= b.layer && b.layer <= r.hi[2] &&
+         range_meets(r.lo[0], r.hi[0], b.x, b.w) &&
+         range_meets(r.lo[1], r.hi[1], b.y, b.h);
+}
+
+/// A run along `axis` sorts by its line, the two fixed coordinates (major
+/// first), then by its start: 21 bits each, since x, y < 2^20 and layers
+/// < 2^16. `order >> kLineShift` names the line.
+constexpr std::array<std::array<int, 2>, 3> kFixedAxes{
+    {{2, 1}, {2, 0}, {1, 0}}};
+constexpr int kLineShift = 21;
+
+std::uint64_t run_order(const RecBox& r, int axis) {
+  const auto [m, n] = kFixedAxes[axis];
+  return (std::uint64_t{r.lo[m]} << (2 * kLineShift)) |
+         (std::uint64_t{r.lo[n]} << kLineShift) | r.lo[axis];
+}
+
+/// Per-worker reusable phase-3 scratch, sized by one edge's record count.
+struct EdgeScratch {
+  std::array<std::vector<RecBox>, 3> runs;  ///< merged runs by axis
+  std::vector<std::uint32_t> parent;
+  std::vector<std::uint64_t> look_ups, starts, ends;  ///< sweep events
+};
+
+/// Union-find over one edge's record slots.
+struct Components {
+  std::vector<std::uint32_t>& parent;
+
+  std::uint32_t find(std::uint32_t i) {
     while (parent[i] != i) {
       parent[i] = parent[parent[i]];  // path halving
       i = parent[i];
     }
     return i;
-  };
-  auto unite = [&](std::uint32_t a, std::uint32_t b) {
+  }
+  void unite(std::uint32_t a, std::uint32_t b) {
     a = find(a);
     b = find(b);
     if (a != b) parent[std::max(a, b)] = std::min(a, b);
-  };
-  auto probe = [&](std::uint32_t i, std::uint32_t& cursor, std::uint64_t want) {
-    while (cursor < n && p[cursor] < want) ++cursor;
-    if (cursor < n && p[cursor] == want) unite(i, cursor);
-  };
-  std::uint32_t next_y = 0, next_z = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint64_t k = p[i];
-    if (i + 1 < n && p[i + 1] == k + 1 && key_x(k) != kCoordMax)
-      unite(i, i + 1);
-    if (key_y(k) != kCoordMax)
-      probe(i, next_y, k + (1ull << grid::kCoordBits));
-    probe(i, next_z, k + (1ull << (2 * grid::kCoordBits)));
   }
-  const std::uint32_t root = find(0);
-  for (std::uint32_t i = 1; i < n; ++i)
-    if (find(i) != root)  // a stranded point: the diagnostic names it
-      return at_key(p[i], {.code = Code::kEdgeDisconnected, .edge = e});
+};
+
+/// Sorts one axis's runs by line, then by start, and merges the runs of a
+/// line that overlap or abut (they join), leaving the line's runs disjoint
+/// and at least two apart.
+void merge_collinear(std::vector<RecBox>& runs, int axis, Components& cc) {
+  auto by_order = [](const RecBox& a, const RecBox& b) {
+    return a.order < b.order;
+  };
+  // A path's records usually come in order; skip the sort when they do.
+  if (!std::is_sorted(runs.begin(), runs.end(), by_order))
+    std::sort(runs.begin(), runs.end(), by_order);
+  std::size_t out = 0;
+  for (const RecBox& r : runs) {
+    if (out > 0) {
+      RecBox& cur = runs[out - 1];
+      if (cur.order >> kLineShift == r.order >> kLineShift &&
+          r.lo[axis] <= cur.hi[axis] + 1) {
+        cur.hi[axis] = std::max(cur.hi[axis], r.hi[axis]);
+        cc.unite(cur.rec, r.rec);
+        continue;
+      }
+    }
+    runs[out++] = r;
+  }
+  runs.resize(out);
+}
+
+/// Joins merged runs along one axis that lie on neighbouring lines (one
+/// fixed coordinate one apart) and overlap along the axis. Lines come in
+/// sorted order, so the (m, n + 1) neighbour is the next line and the
+/// (m + 1, n) neighbour is found by a forward cursor; each pair of lines is
+/// a two-pointer walk over disjoint sorted runs.
+void join_parallel(const std::vector<RecBox>& runs, int axis,
+                   Components& cc) {
+  auto line = [&](std::size_t i) { return runs[i].order >> kLineShift; };
+  auto line_end = [&](std::size_t i) {
+    const std::uint64_t l = line(i);
+    while (i < runs.size() && line(i) == l) ++i;
+    return i;
+  };
+  auto overlap = [&](std::size_t a, std::size_t a_end, std::size_t b,
+                     std::size_t b_end) {
+    while (a < a_end && b < b_end) {
+      if (runs[a].lo[axis] <= runs[b].hi[axis] &&
+          runs[b].lo[axis] <= runs[a].hi[axis])
+        cc.unite(runs[a].rec, runs[b].rec);
+      if (runs[a].hi[axis] < runs[b].hi[axis])
+        ++a;
+      else
+        ++b;
+    }
+  };
+  std::size_t up = 0;  // cursor towards line (m + 1, n)
+  for (std::size_t i = 0; i < runs.size();) {
+    const std::size_t i_end = line_end(i);
+    const std::uint64_t l = line(i);
+    if (i_end < runs.size() && line(i_end) == l + 1)
+      overlap(i, i_end, i_end, line_end(i_end));
+    const std::uint64_t want = l + (std::uint64_t{1} << kLineShift);
+    while (up < runs.size() && line(up) < want) up = line_end(up);
+    if (up < runs.size() && line(up) == want)
+      overlap(i, i_end, up, line_end(up));
+    i = i_end;
+  }
+}
+
+/// Joins runs along axis `a` (P) with runs along axis `b` (Q); `c` is the
+/// third axis. A sweep over the b coordinate keeps every Q run active from
+/// one before its start to one after its end, keyed by its (c, a)
+/// coordinates; each P run (a single b coordinate) looks up the active runs
+/// at c − 1, c and c + 1 within one of its a-extent, and `joins` keeps the
+/// true contacts. Since the runs of a line are disjoint and two apart, a P
+/// run sees O(1) non-joining candidates, and so does a Q run, so the sweep
+/// costs O(R log R + contacts), and every contact is a pair of shared or
+/// 6-adjacent points.
+void join_crossing(const std::vector<RecBox>& P, const std::vector<RecBox>& Q,
+                   int a, int b, Components& cc, EdgeScratch& sc) {
+  if (P.empty() || Q.empty()) return;
+  const int c = 3 - a - b;
+  // Sweep events, each (b coordinate << 32) | run, in b order: P runs'
+  // look-ups, Q runs' first and last coordinates (often already in order).
+  auto events = [](std::vector<std::uint64_t>& out,
+                   const std::vector<RecBox>& runs, auto coord) {
+    out.resize(runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i)
+      out[i] = (std::uint64_t{coord(runs[i])} << 32) | i;
+    if (!std::is_sorted(out.begin(), out.end()))
+      std::sort(out.begin(), out.end());
+  };
+  events(sc.look_ups, P, [&](const RecBox& r) { return r.lo[b]; });
+  events(sc.starts, Q, [&](const RecBox& r) { return r.lo[b]; });
+  events(sc.ends, Q, [&](const RecBox& r) { return r.hi[b]; });
+  auto run = [](std::uint64_t ev) { return static_cast<std::uint32_t>(ev); };
+  auto at = [](std::uint64_t ev) { return static_cast<std::uint32_t>(ev >> 32); };
+  auto key = [](std::uint32_t cz, std::uint32_t az) {
+    return (std::uint64_t{cz} << 32) | az;
+  };
+  using Active = std::pair<std::uint64_t, std::uint32_t>;
+  auto entry = [&](std::uint32_t i) {
+    return Active{key(Q[i].lo[c], Q[i].lo[a]), i};
+  };
+  std::set<Active> active;
+  std::size_t started = 0, ended = 0;
+  for (const std::uint64_t ev : sc.look_ups) {
+    const RecBox& p = P[run(ev)];
+    const std::uint32_t q = at(ev);
+    for (; started < Q.size() && at(sc.starts[started]) <= q + 1; ++started)
+      active.insert(entry(run(sc.starts[started])));
+    for (; ended < Q.size() && at(sc.ends[ended]) + 1 < q; ++ended)
+      active.erase(entry(run(sc.ends[ended])));
+    const std::uint32_t a_lo = p.lo[a] == 0 ? 0 : p.lo[a] - 1;
+    const std::uint32_t c_lo = p.lo[c] == 0 ? 0 : p.lo[c] - 1;
+    auto it = active.lower_bound({key(c_lo, a_lo), 0});
+    for (std::uint32_t cz = c_lo; cz <= p.lo[c] + 1 && it != active.end();
+         ++cz) {
+      if (it->first < key(cz, a_lo))
+        it = active.lower_bound({key(cz, a_lo), 0});
+      for (; it != active.end() && it->first <= key(cz, p.hi[a] + 1); ++it)
+        if (joins(p, Q[it->second])) cc.unite(p.rec, Q[it->second].rec);
+    }
+  }
+}
+
+/// Phase 3 for one edge, on its records, never its points. Collinear runs
+/// are merged per line, parallel runs on neighbouring lines are joined by a
+/// two-pointer walk and crossing runs of two axes by a sweep, all by the
+/// 6-adjacency join rule. Returns at most one diagnostic (unrouted /
+/// disconnected / misses-terminal).
+std::optional<Diagnostic> verify_edge(const Graph& g, const LayoutGeometry& geom,
+                                      EdgeId e, const EdgeRecords& idx,
+                                      const std::vector<const NodeBox*>& box_of,
+                                      EdgeScratch& sc) {
+  poll_cancellation("check");
+  const std::uint32_t first = idx.off[e];
+  const std::uint32_t n = idx.off[e + 1] - first;
+  if (n == 0) return Diagnostic{.code = Code::kEdgeUnrouted, .edge = e};
+
+  const auto nsegs = static_cast<std::uint32_t>(geom.segs.size());
+  auto record = [&](std::uint32_t slot) -> RecBox {
+    const std::uint32_t id = idx.ids[first + slot];
+    if (id < nsegs) {
+      const WireSeg& s = geom.segs[id];
+      return {{s.x1, s.y1, s.layer}, {s.x2, s.y2, s.layer}, slot};
+    }
+    const Via& v = geom.vias[id - nsegs];
+    return {{v.x, v.y, v.z1}, {v.x, v.y, v.z2}, slot};
+  };
+  auto axis_of = [](const RecBox& r) {  // a single point counts as an x run
+    return r.lo[1] != r.hi[1] ? 1 : r.lo[2] != r.hi[2] ? 2 : 0;
+  };
+  // Count, then fill, so each run vector grows at most once.
+  std::array<std::uint32_t, 3> count{};
+  for (std::uint32_t slot = 0; slot < n; ++slot) ++count[axis_of(record(slot))];
+  for (int axis = 0; axis < 3; ++axis) {
+    sc.runs[axis].clear();
+    sc.runs[axis].reserve(count[axis]);
+  }
+  for (std::uint32_t slot = 0; slot < n; ++slot) {
+    RecBox r = record(slot);
+    const int axis = axis_of(r);
+    r.order = run_order(r, axis);
+    sc.runs[axis].push_back(r);
+  }
+
+  sc.parent.resize(n);
+  std::iota(sc.parent.begin(), sc.parent.end(), 0u);
+  Components cc{sc.parent};
+  for (int axis = 0; axis < 3; ++axis) {
+    merge_collinear(sc.runs[axis], axis, cc);
+    join_parallel(sc.runs[axis], axis, cc);
+  }
+  join_crossing(sc.runs[0], sc.runs[1], 0, 1, cc, sc);
+  join_crossing(sc.runs[0], sc.runs[2], 0, 2, cc, sc);
+  join_crossing(sc.runs[1], sc.runs[2], 1, 2, cc, sc);
+
+  // The root is the component of the edge's smallest point, and the first
+  // stranded point in key order is the smallest point outside it. A merged
+  // run starts at the smallest point of the records it absorbed, so both
+  // are run starts.
+  auto first_key = [](const RecBox& r) {
+    return key3(r.lo[0], r.lo[1], r.lo[2]);
+  };
+  const RecBox* root_run = nullptr;
+  for (const std::vector<RecBox>& runs : sc.runs)
+    for (const RecBox& r : runs)
+      if (!root_run || first_key(r) < first_key(*root_run)) root_run = &r;
+  const std::uint32_t root = cc.find(root_run->rec);
+  std::optional<std::uint64_t> stranded;
+  for (const std::vector<RecBox>& runs : sc.runs)
+    for (const RecBox& r : runs)
+      if (cc.find(r.rec) != root && (!stranded || first_key(r) < *stranded))
+        stranded = first_key(r);
+  if (stranded)
+    return at_key(*stranded, {.code = Code::kEdgeDisconnected, .edge = e});
 
   const Edge& ed = g.edge(e);
   const NodeBox* bu = box_of[ed.u];
   const NodeBox* bv = box_of[ed.v];
   bool touch_u = false, touch_v = false;
-  for (std::uint32_t i = 0; i < n && !(touch_u && touch_v); ++i) {
-    const std::uint32_t xx = key_x(p[i]);
-    const std::uint32_t yy = key_y(p[i]);
-    const std::uint32_t zz = key_z(p[i]);
-    if (bu && zz == bu->layer && bu->contains(xx, yy)) touch_u = true;
-    if (bv && zz == bv->layer && bv->contains(xx, yy)) touch_v = true;
-  }
+  for (const std::vector<RecBox>& runs : sc.runs)
+    for (const RecBox& r : runs) {
+      if (bu && touches(r, *bu)) touch_u = true;
+      if (bv && touches(r, *bv)) touch_v = true;
+    }
   if ((!touch_u && bu) || (!touch_v && bv)) {
     const NodeBox* missing = (!touch_u && bu) ? bu : bv;
     return Diagnostic{.code = Code::kEdgeMissesTerminal,
@@ -691,11 +858,15 @@ CheckReport Checker::check(DiagnosticSink& sink) {
     return finalize();
   }
 
+  // Each phase runs under its own span on the calling thread.
+  std::optional<obs::Span> phase;
+  phase.emplace("check.frame");
   // Phase 1: frame scan.
   FrameResult fr;
   frame_scan(g_, geom_, reporter, fr);
   if (sink.full()) return finalize();
 
+  phase.emplace("check.scan");
   // Band layout: ~kTargetBands bands, thinned further so one band's
   // one-layer slab fits the cell budget. Since width <= kCoordMax < 2^20, a
   // band always keeps at least 4 rows.
@@ -768,6 +939,7 @@ CheckReport Checker::check(DiagnosticSink& sink) {
 
   // Phase 3: connectivity of every edge whose frame is sound (frame
   // violations were already reported and carry no connectivity verdict).
+  phase.emplace("check.connect");
   std::vector<std::uint32_t> check_list;
   for (EdgeId e = 0; e < num_edges; ++e)
     if (fr.edge_frame_ok[e]) check_list.push_back(e);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "analysis/lint.hpp"
+#include "connectivity_oracle.hpp"
 #include "core/checker.hpp"
 #include "core/io.hpp"
 #include "core/multilayer.hpp"
@@ -102,6 +103,15 @@ TEST(FaultMatrix, EveryGeometryOperatorTriggersItsDeclaredCode) {
         EXPECT_EQ(par.error, rep.error) << ctx;
         EXPECT_EQ(par.points, rep.points) << ctx;
         EXPECT_EQ(rendered(par_sink), rendered(sink)) << ctx;
+
+        // Every edge's connectivity verdict matches the point-level oracle.
+        for (std::uint32_t threads : {1u, 8u})
+          EXPECT_EQ(testing::oracle_mismatches(
+                        c.o.graph, geom,
+                        {.via_rule = c.ml.required_rule, .threads = threads}),
+                    std::vector<std::string>{})
+              << robustness::fault_name(k) << " on " << c.name << " seed "
+              << seed << " threads " << threads;
       }
     }
     EXPECT_TRUE(applied)
